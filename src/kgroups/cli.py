@@ -32,13 +32,7 @@ from .harness import (
     run_experiment,
 )
 from .indices import ContingencyTable, index_report
-from .solver import FitConfig, fit
-
-_CLI_MODES = {
-    "first": "first_variation",
-    "second": "second_variation",
-    "kmeans": "kmeans_alpha2",
-}
+from .solver import FIT_MODES, fit, fit_mode
 
 
 def _add_fit(sub):
@@ -46,7 +40,7 @@ def _add_fit(sub):
     p.add_argument("--input", required=True, help="input CSV (optional header)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--alpha", type=float, default=1.0, help="distance exponent in (0,2]")
-    p.add_argument("--mode", choices=sorted(_CLI_MODES), default="first")
+    p.add_argument("--mode", choices=sorted(m.cli for m in FIT_MODES), default="first")
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-passes", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -107,13 +101,12 @@ def _parse_list(text, cast=str):
 
 def _cmd_fit(args) -> int:
     x, truth = kio.read_data_csv(args.input, truth_last=args.truth_last)
-    cfg = FitConfig(
+    cfg = fit_mode(cli=args.mode).config(
         k=args.k,
-        alpha=2.0 if args.mode == "kmeans" else args.alpha,
+        alpha=args.alpha,
         restarts=args.restarts,
         max_passes=args.max_passes,
         rng_seed=args.seed,
-        mode=_CLI_MODES[args.mode],
     )
     result = fit(x, cfg)
     out = Path(args.out_dir)

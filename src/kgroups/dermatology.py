@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import LabeledSample
-from .errors import IngestionError, InputError
+from .errors import IngestionError
 from .indices import ContingencyTable, index_report
-from .solver import FitConfig, fit
+from .solver import FIT_MODES, fit, fit_mode
 
 __all__ = [
     "DERMATOLOGY_URL",
@@ -124,27 +124,18 @@ def find_dermatology() -> Path | None:
 
 def run_dermatology(
     sample: LabeledSample,
-    algorithms=("kgroups_first", "kgroups_second", "kmeans"),
+    algorithms=tuple(m.algorithm for m in FIT_MODES),
     restarts=20,
     seed=0,
     alpha=1.0,
     max_passes=50,
 ) -> dict:
     """Fit each algorithm with k=6 and score it against the disease classes."""
-    from .harness import _MODE_FOR  # avoid a module cycle at import time
-
     k = int(np.max(sample.truth)) + 1
     reports = {}
     for algorithm in algorithms:
-        if algorithm not in _MODE_FOR:
-            raise InputError(f"unknown algorithm {algorithm!r}")
-        cfg = FitConfig(
-            k=k,
-            alpha=2.0 if algorithm == "kmeans" else alpha,
-            restarts=restarts,
-            max_passes=max_passes,
-            rng_seed=seed,
-            mode=_MODE_FOR[algorithm],
+        cfg = fit_mode(algorithm=algorithm).config(
+            k=k, alpha=alpha, restarts=restarts, max_passes=max_passes, rng_seed=seed
         )
         result = fit(sample.data, cfg)
         table = ContingencyTable.from_labels(sample.truth, result.partition.labels)

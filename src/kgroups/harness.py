@@ -22,9 +22,9 @@ import numpy as np
 
 from .charts import line_chart_svg
 from .datagen import Component, MixtureSpec, generate
-from .errors import InputError
+from .errors import InputError, NumericInvariantError
 from .indices import ContingencyTable, index_report
-from .solver import FitConfig, fit
+from .solver import FIT_MODES, fit, fit_mode
 
 __all__ = [
     "ALGORITHMS",
@@ -42,15 +42,9 @@ __all__ = [
     "records_from_csv",
 ]
 
-ALGORITHMS = ("kgroups_first", "kgroups_second", "kmeans")
+ALGORITHMS = tuple(m.algorithm for m in FIT_MODES)
 DESIGNS = ("normal", "lognormal", "cauchy", "cubic")
 SWEEP_PARAMS = ("separation", "alpha", "dim")
-
-_MODE_FOR = {
-    "kgroups_first": "first_variation",
-    "kgroups_second": "second_variation",
-    "kmeans": "kmeans_alpha2",
-}
 
 SCHEMA_VERSION = 1
 
@@ -231,9 +225,8 @@ def _mixture_for(spec: ExperimentSpec, value: float, seed: int) -> MixtureSpec:
     )
 
 
-def _alpha_for(spec: ExperimentSpec, algorithm: str, value: float) -> float:
-    if algorithm == "kmeans":
-        return 2.0
+def _alpha_for(spec: ExperimentSpec, value: float) -> float:
+    # the k-groups exponent; FitMode.config overrides it where fixed at 2
     if spec.sweep_param == "alpha":
         return value
     if spec.alpha is not None:
@@ -248,13 +241,12 @@ def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
     checksum = zlib.crc32(sample.data.tobytes())
     records = []
     for algorithm in spec.algorithms:
-        cfg = FitConfig(
+        cfg = fit_mode(algorithm=algorithm).config(
             k=spec.k,
-            alpha=_alpha_for(spec, algorithm, value),
+            alpha=_alpha_for(spec, value),
             restarts=spec.restarts,
             max_passes=spec.max_passes,
             rng_seed=seed,
-            mode=_MODE_FOR[algorithm],
         )
         start = time.perf_counter()
         try:
@@ -276,6 +268,8 @@ def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
                     runtime_s=elapsed,
                 )
             )
+        except NumericInvariantError:
+            raise  # a defect, not a failed cell
         except Exception as exc:  # recorded as a missing cell, never dropped
             records.append(
                 ReplicateRecord(

@@ -1,13 +1,14 @@
 """K-groups fitting by local relocation search.
 
-Three fit modes share one sweep loop:
+Three fit modes, each listed once in `FIT_MODES` with the names the
+harness and the CLI use for it, share one restart driver (`_fit`):
 
 * first_variation  - move one point at a time; a point is relocated when the
   weighted energy statistic against its own cluster exceeds the minimum
   weighted statistic against any other cluster.
-* second_variation - points are pre-paired by greedy closest matching and
-  pairs move together, which lets the search escape some single-point local
-  minima.
+* second_variation - the first variation applied to m = 2 points: points are
+  pre-paired by greedy closest matching and pairs move together, which lets
+  the search escape some single-point local minima.
 * kmeans_alpha2    - the alpha=2 special case evaluated through maintained
   centroids (the Hartigan-Wong transfer criterion); it produces the same
   move sequence as first variation at alpha=2 without the O(n^2) cache.
@@ -18,15 +19,18 @@ size n1 into one of size n2 changes the objective by
     m*n1/(2*(n1-m)) * xi(S, source)  -  m*n2/(2*(n2+m)) * xi(S, target)
 
 where xi is the two-sample energy statistic between S and the cluster
-(including S itself on the source side).  A move is applied only when this
-gain is strictly positive, so the objective strictly decreases and the
-search terminates.
+(including S itself on the source side).  One kernel, `_relocation_costs`,
+evaluates both terms against every cluster; the single-point and pair
+sweeps, the insertion of a held-out point and `mth_variation_delta` all
+call it.  A move is applied only when this gain is strictly positive, so
+the objective strictly decreases and the search terminates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +46,8 @@ from .partition import (
 
 __all__ = [
     "MODES",
+    "FIT_MODES",
+    "fit_mode",
     "FitConfig",
     "FitResult",
     "first_variation_delta",
@@ -54,7 +60,36 @@ __all__ = [
     "fit_kmeans_alpha2",
 ]
 
-MODES = ("first_variation", "second_variation", "kmeans_alpha2")
+
+class FitMode(NamedTuple):
+    """One fit mode under the name each layer knows it by."""
+
+    mode: str  # FitConfig.mode
+    algorithm: str  # harness and dermatology algorithm name
+    cli: str  # `kgroups fit --mode` choice
+    alpha2: bool  # the exponent is fixed at 2
+
+    def config(self, alpha, **settings) -> FitConfig:
+        """A FitConfig for this mode; `alpha` is overridden when fixed at 2."""
+        return FitConfig(alpha=2.0 if self.alpha2 else alpha, mode=self.mode, **settings)
+
+
+FIT_MODES = (
+    FitMode("first_variation", "kgroups_first", "first", False),
+    FitMode("second_variation", "kgroups_second", "second", False),
+    FitMode("kmeans_alpha2", "kmeans", "kmeans", True),
+)
+MODES = tuple(m.mode for m in FIT_MODES)
+
+
+def fit_mode(**key) -> FitMode:
+    """The FIT_MODES entry matching one field, e.g. fit_mode(cli="first")."""
+    ((attr, value),) = key.items()
+    for m in FIT_MODES:
+        if getattr(m, attr) == value:
+            return m
+    choices = tuple(getattr(m, attr) for m in FIT_MODES)
+    raise InputError(f"{attr} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +113,8 @@ class FitConfig:
             raise InputError("max_passes must be at least 1")
         if int(self.rng_seed) < 0:
             raise InputError("rng_seed must be a nonnegative integer")
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "kmeans_alpha2" and self.alpha != 2.0:
-            raise InputError("kmeans_alpha2 requires alpha=2")
+        if fit_mode(mode=self.mode).alpha2 and self.alpha != 2.0:
+            raise InputError(f"{self.mode} requires alpha=2")
 
 
 @dataclass
@@ -89,7 +122,7 @@ class FitResult:
     """Outcome of a fit: best partition over restarts plus run metadata.
 
     `within` is the converged objective of the winning restart and must agree
-    with a from-scratch disco recomputation to 1e-9 relative.  `trace`, when
+    with a from-scratch recomputation to 1e-9 relative.  `trace`, when
     requested, holds one (item, source, target, within_after) entry per
     accepted relocation of the winning restart.
     """
@@ -107,34 +140,33 @@ class FitResult:
 # Exact relocation gains
 
 
-def _xi_point(ledger, sizes, i, j) -> float:
-    nj = sizes[j]
-    return 2.0 * ledger.sums[i, j] / nj - 2.0 * ledger.within[j] / (nj * nj)
+def _relocation_costs(cross, within, sizes, spread, m, frm):
+    """Weighted statistics m*n_j/(2*(n_j -/+ m)) * xi(S, C_j) of a set S of m points.
 
-
-def first_variation_delta(partition, ledger, i, to) -> float:
-    """Exact objective change from moving point i into cluster `to`.
-
-    Positive means the move lowers the within-cluster dispersion.  Raises
-    RejectedMoveError when point i is the last member of its cluster.
+    Per cluster j, `cross[j]` sums the distances from S to C_j, `within[j]`
+    is the pair sum inside C_j and `sizes[j]` is |C_j|; `spread` is the mean
+    distance inside S over all m*m ordered pairs.  S sits in cluster `frm`
+    (-1: in none).  Returns the cost of removing S from `frm`, the lowest
+    cost of adding S to another cluster and that cluster (ties keep the
+    lowest id).  The arguments are Python lists: indexing them is what keeps
+    a sweep visit cheap.
     """
-    i, to = int(i), int(to)
-    frm = int(partition.labels[i])
-    if to == frm:
-        raise InputError(f"point {i} is already in cluster {to}")
-    if not 0 <= to < partition.k:
-        raise InputError(f"cluster id {to} outside 0..{partition.k - 1}")
-    sizes = partition.sizes
-    n1 = int(sizes[frm])
-    n2 = int(sizes[to])
-    if n1 < 2:
-        raise RejectedMoveError(f"point {i} is the only member of cluster {frm}")
-    e1 = n1 / (2.0 * (n1 - 1.0)) * _xi_point(ledger, sizes, i, frm)
-    e2 = n2 / (2.0 * (n2 + 1.0)) * _xi_point(ledger, sizes, i, to)
-    return e1 - e2
+    removal = best = math.inf
+    best_j = -1
+    for j, nj in enumerate(sizes):
+        xi = 2.0 * cross[j] / (m * nj) - spread - 2.0 * within[j] / (nj * nj)
+        if j == frm:
+            removal = m * nj / (2.0 * (nj - m)) * xi
+        else:
+            cost = m * nj / (2.0 * (nj + m)) * xi
+            if cost < best:
+                best = cost
+                best_j = j
+    return removal, best, best_j
 
 
 def _checked_point_set(partition, points):
+    # the points of a legal joint move: distinct, in one cluster, not all of it
     pts = np.asarray(points, dtype=np.intp).ravel()
     if pts.size == 0:
         raise InputError("point set is empty")
@@ -145,14 +177,16 @@ def _checked_point_set(partition, points):
     frm = int(partition.labels[pts[0]])
     if not (partition.labels[pts] == frm).all():
         raise InputError("all moved points must share one source cluster")
+    if int(partition.sizes[frm]) <= pts.size:
+        raise RejectedMoveError(f"moving {pts.size} points would empty cluster {frm}")
     return pts, frm
 
 
 def mth_variation_delta(partition, ledger, points, to) -> float:
     """Exact objective change from moving a set of m points together.
 
-    Reduces to first_variation_delta when m = 1.  Raises RejectedMoveError
-    when the move would empty the source cluster.
+    Positive means the move lowers the within-cluster dispersion.  Raises
+    RejectedMoveError when the move would empty the source cluster.
     """
     pts, frm = _checked_point_set(partition, points)
     to = int(to)
@@ -161,140 +195,90 @@ def mth_variation_delta(partition, ledger, points, to) -> float:
     if not 0 <= to < partition.k:
         raise InputError(f"cluster id {to} outside 0..{partition.k - 1}")
     m = pts.size
-    n1 = int(partition.sizes[frm])
-    n2 = int(partition.sizes[to])
-    if n1 < m + 1:
-        raise RejectedMoveError(
-            f"moving {m} points would empty cluster {frm} (size {n1})"
-        )
-    cross1 = float(ledger.sums[pts, frm].sum())
-    cross2 = float(ledger.sums[pts, to].sum())
-    internal = float(ledger.dist[np.ix_(pts, pts)].sum())
-    xi1 = 2.0 * cross1 / (m * n1) - internal / (m * m) - 2.0 * ledger.within[frm] / (n1 * n1)
-    xi2 = 2.0 * cross2 / (m * n2) - internal / (m * m) - 2.0 * ledger.within[to] / (n2 * n2)
-    return (m * n1) / (2.0 * (n1 - m)) * xi1 - (m * n2) / (2.0 * (n2 + m)) * xi2
+    both = [frm, to]
+    cross = [float(ledger.sums[pts, j].sum()) for j in both]
+    spread = float(ledger.dist[np.ix_(pts, pts)].sum()) / (m * m)
+    removal, insertion, _ = _relocation_costs(
+        cross, ledger.within[both].tolist(), partition.sizes[both].tolist(), spread, m, 0
+    )
+    return removal - insertion
+
+
+def first_variation_delta(partition, ledger, i, to) -> float:
+    """Exact objective change from moving point i into cluster `to`: the
+    m = 1 case of `mth_variation_delta`."""
+    return mth_variation_delta(partition, ledger, [i], to)
 
 
 def move_points(partition, ledger, points, to) -> None:
     """Apply a joint move of several same-cluster points (ledger maintained)."""
-    pts, frm = _checked_point_set(partition, points)
-    if int(partition.sizes[frm]) < pts.size + 1:
-        raise RejectedMoveError(
-            f"moving {pts.size} points would empty cluster {frm}"
-        )
+    pts, _ = _checked_point_set(partition, points)
     for i in pts:
         move_point(partition, ledger, int(i), int(to))
 
 
 # ---------------------------------------------------------------------------
-# Sweep states: one per fit mode, shared control flow
+# Sweep states.  Each has `ids` (one trace id per item), `visit(t)` (move
+# item t if that gains, returning (source, target) or None), `within_value()`
+# and `finish()`, which returns the restart's partition of all n points and
+# its objective.
 
 
-class _PointState:
-    """First-variation sweep over single points, ledger-backed."""
+class _LedgerState:
+    """Ledger-backed sweep over items of m = 1 points or m = 2 points.
 
-    def __init__(self, cache, partition):
+    Each item is (points, spread), spread being the mean distance inside the
+    points over their m*m ordered pairs.  The partition and ledger cover the
+    points the items are drawn from, indexed from 0.  With pairs (`full`
+    given) that may be every point but one held out of an odd n: `finish`
+    inserts it into the cluster where it costs least and rebuilds the ledger
+    on the full cache.
+    """
+
+    def __init__(self, dist, partition, items, ids, full=None, held=None):
         self.partition = partition
-        self.ledger = ClusterSumLedger(partition, cache)
-        self.k = partition.k
-
-    def n_items(self) -> int:
-        return self.partition.n
-
-    def item_id(self, i):
-        return i
-
-    def visit(self, i):
-        part = self.partition
-        ledger = self.ledger
-        labels = part.labels
-        sizes = part.sizes
-        frm = int(labels[i])
-        n1 = int(sizes[frm])
-        if n1 < 2 or self.k < 2:
-            return None
-        row = ledger.sums[i]
-        within = ledger.within
-        e1 = n1 / (2.0 * (n1 - 1.0)) * (
-            2.0 * float(row[frm]) / n1 - 2.0 * float(within[frm]) / (n1 * n1)
-        )
-        best = math.inf
-        best_j = -1
-        for j in range(self.k):
-            if j == frm:
-                continue
-            nj = int(sizes[j])
-            xi = 2.0 * float(row[j]) / nj - 2.0 * float(within[j]) / (nj * nj)
-            e2 = nj / (2.0 * (nj + 1.0)) * xi
-            if e2 < best:
-                best = e2
-                best_j = j
-        if e1 > best:
-            move_point(part, ledger, i, best_j)
-            return frm, best_j
-        return None
-
-    def within_value(self) -> float:
-        return self.ledger.within_dispersion(self.partition)
-
-
-class _PairState:
-    """Second-variation sweep over fixed point pairs, ledger-backed."""
-
-    def __init__(self, cache, partition, pairs, ids=None):
-        self.partition = partition
-        self.ledger = ClusterSumLedger(partition, cache)
-        self.pairs = pairs
-        self.ids = ids if ids is not None else pairs
-        self.k = partition.k
-
-    def n_items(self) -> int:
-        return len(self.pairs)
-
-    def item_id(self, t):
-        return self.ids[t]
+        self.ledger = ClusterSumLedger(partition, dist)
+        self.items = items
+        self.ids = ids
+        self.full = full
+        self.held = held
 
     def visit(self, t):
+        pts, spread = self.items[t]
         part = self.partition
         ledger = self.ledger
-        a, b = self.pairs[t]
-        sizes = part.sizes
-        frm = int(part.labels[a])
-        n1 = int(sizes[frm])
-        if n1 <= 2 or self.k < 2:
+        frm = int(part.labels[pts[0]])
+        m = len(pts)
+        sizes = part.sizes.tolist()
+        if sizes[frm] <= m:
             return None
-        dab = float(ledger.dist[a, b])
-        sums = ledger.sums
-        within = ledger.within
-        xi1 = (
-            (float(sums[a, frm]) + float(sums[b, frm])) / n1
-            - dab / 2.0
-            - 2.0 * float(within[frm]) / (n1 * n1)
+        cross = ledger.sums[pts[0]] if m == 1 else ledger.sums[pts[0]] + ledger.sums[pts[1]]
+        removal, best, to = _relocation_costs(
+            cross.tolist(), ledger.within.tolist(), sizes, spread, m, frm
         )
-        e1 = n1 / (n1 - 2.0) * xi1
-        best = math.inf
-        best_j = -1
-        for j in range(self.k):
-            if j == frm:
-                continue
-            nj = int(sizes[j])
-            xi = (
-                (float(sums[a, j]) + float(sums[b, j])) / nj
-                - dab / 2.0
-                - 2.0 * float(within[j]) / (nj * nj)
-            )
-            e2 = nj / (nj + 2.0) * xi
-            if e2 < best:
-                best = e2
-                best_j = j
-        if e1 > best:
-            move_point(part, ledger, a, best_j)
-            move_point(part, ledger, b, best_j)
-            return frm, best_j
+        if removal > best:
+            for i in pts:
+                move_point(part, ledger, i, to)
+            return frm, to
         return None
 
     def within_value(self) -> float:
         return self.ledger.within_dispersion(self.partition)
+
+    def finish(self):
+        part = self.partition
+        if self.full is None:
+            return part, self.within_value()
+        labels = part.labels
+        if self.held is not None:
+            labels = np.insert(labels, self.held, -1)
+            row = self.full.dist[self.held]
+            cross = [float(row[labels == j].sum()) for j in range(part.k)]
+            labels[self.held] = _relocation_costs(
+                cross, self.ledger.within.tolist(), part.sizes.tolist(), 0.0, 1, -1
+            )[2]
+        final = Partition(labels, part.k)
+        return final, ClusterSumLedger(final, self.full).within_dispersion(final)
 
 
 class _CentroidState:
@@ -308,25 +292,17 @@ class _CentroidState:
     def __init__(self, x, partition):
         self.x = x
         self.partition = partition
-        self.k = partition.k
+        self.ids = range(partition.n)
         self.coord_sums = np.zeros((partition.k, x.shape[1]))
         for j in range(partition.k):
-            idx = partition.cluster_indices(j)
-            self.coord_sums[j] = x[idx].sum(axis=0)
-        self.total_sq = float((x * x).sum())
-
-    def n_items(self) -> int:
-        return self.partition.n
-
-    def item_id(self, i):
-        return i
+            self.coord_sums[j] = x[partition.cluster_indices(j)].sum(axis=0)
 
     def visit(self, i):
         part = self.partition
         sizes = part.sizes
         frm = int(part.labels[i])
         n1 = int(sizes[frm])
-        if n1 < 2 or self.k < 2:
+        if n1 < 2 or part.k < 2:
             return None
         xi = self.x[i]
         centroids = self.coord_sums / sizes[:, None]
@@ -334,7 +310,7 @@ class _CentroidState:
         e1 = n1 * float(d2[frm]) / (n1 - 1.0)
         best = math.inf
         best_j = -1
-        for j in range(self.k):
+        for j in range(part.k):
             if j == frm:
                 continue
             nj = int(sizes[j])
@@ -350,31 +326,32 @@ class _CentroidState:
         return None
 
     def within_value(self) -> float:
-        sizes = self.partition.sizes
-        centroids = self.coord_sums / sizes[:, None]
-        # sorted summation keeps the value invariant under cluster relabeling
-        terms = sizes * (centroids * centroids).sum(axis=1)
-        return self.total_sq - float(np.sort(terms).sum())
+        # Squared deviations from the maintained centroids, summed point by
+        # point: no cancellation against a total sum of squares when the data
+        # sit far from the origin, and no dependence on cluster numbering.
+        centroids = self.coord_sums / self.partition.sizes[:, None]
+        return float(((self.x - centroids[self.partition.labels]) ** 2).sum())
+
+    def finish(self):
+        return self.partition, self.within_value()
 
 
-def _sweep(state, stop_after, max_passes, trace):
-    """Cycle items until `stop_after` consecutive visits produce no move."""
-    n_items = state.n_items()
-    passes = 0
-    moves = 0
-    still = 0
-    while passes < max_passes and still < stop_after:
+def _sweep(state, max_passes, trace):
+    """Cycle items until one full round of consecutive visits moves nothing."""
+    n_items = len(state.ids)
+    passes = moves = still = 0
+    while passes < max_passes and still < n_items:
         for t in range(n_items):
             mv = state.visit(t)
             if mv is None:
                 still += 1
-                if still >= stop_after:
+                if still >= n_items:
                     break
             else:
                 moves += 1
                 still = 0
                 if trace is not None:
-                    trace.append((state.item_id(t), mv[0], mv[1], state.within_value()))
+                    trace.append((state.ids[t], mv[0], mv[1], state.within_value()))
         passes += 1
     return passes, moves
 
@@ -421,157 +398,112 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def _check_fit_inputs(x, cfg: FitConfig):
+def _pair_items(dist) -> list:
+    # sweep items of second variation: closest pairs with half their distance
+    return [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist)]
+
+
+def _pair_state(cache, k, rng, even_items) -> _LedgerState:
+    """Second-variation start: with an odd n one random point sits out and
+    the rest are paired afresh; pairs get random nonempty cluster labels."""
+    n = cache.n
+    held = int(rng.integers(n)) if n % 2 else None
+    if held is None:
+        active, sub, items = np.arange(n), cache.dist, even_items
+    else:
+        active = np.delete(np.arange(n), held)
+        sub = cache.dist[np.ix_(active, active)]
+        items = _pair_items(sub)
+    labels = np.empty(active.shape[0], dtype=np.intp)
+    for ((a, b), _), lab in zip(items, _surjective_labels(len(items), k, rng)):
+        labels[a] = labels[b] = lab
+    ids = [(int(active[a]), int(active[b])) for (a, b), _ in items]
+    return _LedgerState(sub, Partition(labels, k), items, ids, full=cache, held=held)
+
+
+def _sq_deviations(x, partition) -> float:
+    # the alpha=2 objective from fresh cluster means
+    groups = (x[partition.cluster_indices(j)] for j in range(partition.k))
+    return sum(float(((g - g.mean(axis=0)) ** 2).sum()) for g in groups)
+
+
+def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
+    """Run cfg.restarts sweeps in `mode` and keep the lowest objective.
+
+    Ties keep the earliest restart.  The winner's objective must match a
+    from-scratch recomputation (disco, or squared deviations from fresh
+    cluster means on the centroid path) to 1e-9 relative, NaN included.
+    """
+    cfg = replace(cfg, mode=mode)  # re-validates, e.g. alpha=2 for kmeans
+    pairs = mode == "second_variation"
+    x = as_data_matrix(data)
     n = x.shape[0]
     if cfg.k > n:
         raise InputError(f"k={cfg.k} exceeds the number of points n={n}")
+    if pairs and n // 2 < cfg.k:
+        raise InputError(f"second variation needs at least k={cfg.k} pairs, got {n} points")
+    start = None
+    if init_labels is not None:
+        if pairs:
+            raise InputError("second variation starts from random pairs, not from init_labels")
+        start = Partition(init_labels, cfg.k)
+        if start.n != n:
+            raise InputError("init_labels length does not match the data")
+    cache = None if mode == "kmeans_alpha2" else DistanceCache(x, cfg.alpha)
+    even_items = _pair_items(cache.dist) if pairs and n % 2 == 0 else None
+    points = [((i,), 0.0) for i in range(n)]
 
+    results = []
+    for r in range(cfg.restarts):
+        rng = _restart_rng(cfg.rng_seed, r)
+        if pairs:
+            state = _pair_state(cache, cfg.k, rng, even_items)
+        else:
+            part = start if r == 0 and start is not None else random_partition(n, cfg.k, rng)
+            if cache is None:
+                state = _CentroidState(x, part)
+            else:
+                state = _LedgerState(cache, part, points, range(n))
+        trace = [] if collect_trace else None
+        passes, moves = _sweep(state, cfg.max_passes, trace)
+        part, w = state.finish()
+        results.append((w, part, passes, moves, trace))
+    w, part, passes, moves, trace = min(results, key=lambda res: res[0])
 
-def _best_restart(results):
-    # results: list of (within, partition, passes, moves, trace); ties keep
-    # the earliest restart.
-    best = results[0]
-    for r in results[1:]:
-        if r[0] < best[0]:
-            best = r
-    return best
-
-
-def _verify_within(within, partition, cache):
-    fresh = disco(partition, cache).within
-    if abs(within - fresh) > 1e-9 * max(1.0, abs(fresh)):
+    fresh = _sq_deviations(x, part) if cache is None else disco(part, cache).within
+    if not abs(w - fresh) <= 1e-9 * max(1.0, abs(fresh)):
         raise NumericInvariantError(
-            f"ledger objective {within!r} disagrees with recomputation {fresh!r}"
+            f"{mode} objective {w!r} disagrees with recomputation {fresh!r}"
         )
+    per_restart = [res[0] for res in results]
+    return FitResult(part, w, passes, moves, cfg.rng_seed, per_restart, trace)
 
 
-def fit_first_variation(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
-    """K-groups by single-point relocation.
+def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
+    """Fit in the mode named by cfg.mode.
 
     Runs cfg.restarts independent searches from random nonempty partitions
     and returns the lowest-objective result (ties keep the earliest
     restart).  When `init_labels` is given, the first restart starts from
-    that partition instead of a random one.
+    that partition instead of a random one (not in second variation).
     """
-    x = as_data_matrix(data)
-    _check_fit_inputs(x, cfg)
-    cache = DistanceCache(x, cfg.alpha)
-    n = x.shape[0]
-    results = []
-    per_restart = []
-    for r in range(cfg.restarts):
-        rng = _restart_rng(cfg.rng_seed, r)
-        if r == 0 and init_labels is not None:
-            part = Partition(init_labels, cfg.k)
-            if part.n != n:
-                raise InputError("init_labels length does not match the data")
-        else:
-            part = random_partition(n, cfg.k, rng)
-        state = _PointState(cache, part)
-        trace = [] if collect_trace else None
-        passes, moves = _sweep(state, stop_after=n, max_passes=cfg.max_passes, trace=trace)
-        w = state.within_value()
-        per_restart.append(w)
-        results.append((w, part, passes, moves, trace))
-    w, part, passes, moves, trace = _best_restart(results)
-    _verify_within(w, part, cache)
-    return FitResult(
-        partition=part,
-        within=w,
-        passes=passes,
-        moves=moves,
-        seed=cfg.rng_seed,
-        per_restart_within=per_restart,
-        trace=trace,
-    )
+    return _fit(data, cfg, cfg.mode, init_labels, collect_trace)
 
 
-def _held_out_cluster(ledger_within, sizes, cross):
-    """Insertion rule for a left-over point: argmin of the weighted statistic."""
-    best = math.inf
-    best_j = -1
-    for j in range(sizes.shape[0]):
-        nj = int(sizes[j])
-        xi = 2.0 * cross[j] / nj - 2.0 * float(ledger_within[j]) / (nj * nj)
-        cost = nj / (2.0 * (nj + 1.0)) * xi
-        if cost < best:
-            best = cost
-            best_j = j
-    return best_j
+def fit_first_variation(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
+    """K-groups by single-point relocation, whatever cfg.mode says."""
+    return _fit(data, cfg, "first_variation", init_labels, collect_trace)
 
 
 def fit_second_variation(data, cfg: FitConfig, *, collect_trace=False) -> FitResult:
-    """K-groups by paired relocation.
+    """K-groups by paired relocation, whatever cfg.mode says.
 
     Points are paired once by greedy closest matching on the cached powered
     distances; pairs are then randomly assigned to clusters and relocated
     together.  With an odd point count one random point sits out of the
     pairing and is inserted afterwards by the single-point rule.
     """
-    x = as_data_matrix(data)
-    _check_fit_inputs(x, cfg)
-    n = x.shape[0]
-    if (n - (n % 2)) // 2 < cfg.k:
-        raise InputError(
-            f"second variation needs at least k={cfg.k} pairs, got {n} points"
-        )
-    cache = DistanceCache(x, cfg.alpha)
-    all_idx = np.arange(n)
-    even_pairs = None if n % 2 else min_distance_pairs(cache.dist)
-
-    results = []
-    per_restart = []
-    for r in range(cfg.restarts):
-        rng = _restart_rng(cfg.rng_seed, r)
-        if n % 2:
-            held = int(rng.integers(n))
-            active = np.delete(all_idx, held)
-            sub = cache.dist[np.ix_(active, active)]
-            pairs = min_distance_pairs(sub)
-        else:
-            held = None
-            active = all_idx
-            sub = cache.dist
-            pairs = even_pairs
-
-        pair_labels = _surjective_labels(len(pairs), cfg.k, rng)
-        labels = np.empty(active.shape[0], dtype=np.intp)
-        for t, (a, b) in enumerate(pairs):
-            labels[a] = pair_labels[t]
-            labels[b] = pair_labels[t]
-        part = Partition(labels, cfg.k)
-        ids = [(int(active[a]), int(active[b])) for a, b in pairs]
-        state = _PairState(sub, part, pairs, ids=ids)
-        trace = [] if collect_trace else None
-        passes, moves = _sweep(
-            state, stop_after=len(pairs), max_passes=cfg.max_passes, trace=trace
-        )
-
-        full_labels = np.empty(n, dtype=np.intp)
-        full_labels[active] = part.labels
-        if held is not None:
-            cross = [
-                float(cache.dist[held, active[part.labels == j]].sum())
-                for j in range(cfg.k)
-            ]
-            full_labels[held] = _held_out_cluster(state.ledger.within, part.sizes, cross)
-        final = Partition(full_labels, cfg.k)
-        final_ledger = ClusterSumLedger(final, cache)
-        w = final_ledger.within_dispersion(final)
-        per_restart.append(w)
-        results.append((w, final, passes, moves, trace))
-
-    w, part, passes, moves, trace = _best_restart(results)
-    _verify_within(w, part, cache)
-    return FitResult(
-        partition=part,
-        within=w,
-        passes=passes,
-        moves=moves,
-        seed=cfg.rng_seed,
-        per_restart_within=per_restart,
-        trace=trace,
-    )
+    return _fit(data, cfg, "second_variation", None, collect_trace)
 
 
 def fit_kmeans_alpha2(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
@@ -582,57 +514,4 @@ def fit_kmeans_alpha2(data, cfg: FitConfig, *, init_labels=None, collect_trace=F
     O(n^2) distance cache.  The reported objective equals the total
     within-cluster sum of squared deviations from centroids.
     """
-    if cfg.alpha != 2.0:
-        raise InputError("kmeans_alpha2 requires alpha=2")
-    x = as_data_matrix(data)
-    _check_fit_inputs(x, cfg)
-    n = x.shape[0]
-    results = []
-    per_restart = []
-    for r in range(cfg.restarts):
-        rng = _restart_rng(cfg.rng_seed, r)
-        if r == 0 and init_labels is not None:
-            part = Partition(init_labels, cfg.k)
-            if part.n != n:
-                raise InputError("init_labels length does not match the data")
-        else:
-            part = random_partition(n, cfg.k, rng)
-        state = _CentroidState(x, part)
-        trace = [] if collect_trace else None
-        passes, moves = _sweep(state, stop_after=n, max_passes=cfg.max_passes, trace=trace)
-        w = state.within_value()
-        per_restart.append(w)
-        results.append((w, part, passes, moves, trace))
-    w, part, passes, moves, trace = _best_restart(results)
-
-    # Centroid-path invariant: the maintained objective must match a fresh
-    # sum of squared deviations from per-cluster means.
-    fresh = 0.0
-    for j in range(part.k):
-        pts = x[part.cluster_indices(j)]
-        fresh += float(((pts - pts.mean(axis=0)) ** 2).sum())
-    if abs(w - fresh) > 1e-9 * max(1.0, abs(fresh)):
-        raise NumericInvariantError(
-            f"centroid objective {w!r} disagrees with recomputation {fresh!r}"
-        )
-
-    return FitResult(
-        partition=part,
-        within=w,
-        passes=passes,
-        moves=moves,
-        seed=cfg.rng_seed,
-        per_restart_within=per_restart,
-        trace=trace,
-    )
-
-
-def fit(data, cfg: FitConfig, **kwargs) -> FitResult:
-    """Dispatch to the fit implementation named by cfg.mode."""
-    if cfg.mode == "first_variation":
-        return fit_first_variation(data, cfg, **kwargs)
-    if cfg.mode == "second_variation":
-        return fit_second_variation(data, cfg, **kwargs)
-    if cfg.mode == "kmeans_alpha2":
-        return fit_kmeans_alpha2(data, cfg, **kwargs)
-    raise InputError(f"unknown mode {cfg.mode!r}")
+    return _fit(data, cfg, "kmeans_alpha2", init_labels, collect_trace)

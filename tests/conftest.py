@@ -5,8 +5,17 @@ loops, independent of the package's cached/ledgered code paths, so they can
 serve as ground truth for the incremental formulas.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# Child processes (the console-script test) import kgroups from this checkout
+# as well, so a plain `pytest` run needs no installed package.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def brute_powered_distance(x, y, alpha):

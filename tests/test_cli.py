@@ -202,3 +202,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "bench" in proc.stdout
+
+
+class TestBenchDefect:
+    def test_invariant_violation_exits_4(self, tmp_path, monkeypatch):
+        import kgroups.harness as harness
+        from kgroups.errors import NumericInvariantError
+
+        def broken_fit(data, cfg):
+            raise NumericInvariantError("injected objective mismatch")
+
+        monkeypatch.setattr(harness, "fit", broken_fit)
+        code = main([
+            "bench", "--design", "normal", "--sweep-param", "separation",
+            "--sweep-values", "3.0", "--algorithms", "kmeans", "--reps", "1",
+            "--n", "20", "--restarts", "1", "--out-dir", str(tmp_path / "bench"),
+        ])
+        assert code == 4
+        assert not (tmp_path / "bench").exists()

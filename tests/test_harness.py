@@ -226,3 +226,14 @@ class TestRecordParsing:
         )  # runtime-free record survives the raw round trip exactly
         text = harness._raw_csv_text([rec])
         assert records_from_csv(text) == [rec]
+
+
+def test_invariant_violation_is_raised_not_recorded(monkeypatch):
+    from kgroups.errors import NumericInvariantError
+
+    def broken_fit(data, cfg):
+        raise NumericInvariantError("injected objective mismatch")
+
+    monkeypatch.setattr(harness, "fit", broken_fit)
+    with pytest.raises(NumericInvariantError):
+        run_experiment(tiny_spec(sweep_values=(3.0,), reps=1))

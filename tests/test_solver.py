@@ -6,6 +6,7 @@ from kgroups import (
     DistanceCache,
     FitConfig,
     InputError,
+    NumericInvariantError,
     Partition,
     RejectedMoveError,
     adjusted_rand,
@@ -386,3 +387,47 @@ class TestDispatcher:
             FitConfig(k=2, alpha=1.0, restarts=0)
         with pytest.raises(InputError):
             FitConfig(k=2, alpha=1.0, mode="lloyd")
+
+
+def _two_clusters(seed, n=200):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.standard_normal(n // 2), rng.standard_normal(n - n // 2) + 4.0])
+
+
+class TestNumericInvariant:
+    @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
+    def test_overflowing_scale_fails_loudly(self, mode):
+        # squared distances overflow to inf; inf - inf is NaN, which the
+        # objective check must treat as a failure, not as agreement
+        alpha = 2.0 if mode == "kmeans_alpha2" else 1.0
+        cfg = FitConfig(k=2, alpha=alpha, restarts=2, rng_seed=0, mode=mode)
+        with pytest.raises(NumericInvariantError), np.errstate(all="ignore"):
+            fit(_two_clusters(0, n=40) * 1e170, cfg)
+
+    @pytest.mark.parametrize("offset", [2e3, 5e3, 1e6])
+    def test_kmeans_objective_survives_common_offset(self, offset):
+        failures = 0
+        for seed in range(20):
+            x = _two_clusters(seed) + offset
+            cfg = FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=seed, mode="kmeans_alpha2")
+            try:
+                result = fit(x, cfg)
+            except NumericInvariantError:
+                failures += 1
+                continue
+            labels = result.partition.labels
+            twss = sum(float(((x[labels == j] - x[labels == j].mean()) ** 2).sum()) for j in (0, 1))
+            assert result.within == pytest.approx(twss, rel=1e-9)
+        assert failures == 0
+
+
+class TestFitDriver:
+    def test_second_variation_rejects_init_labels(self, rng):
+        x = rng.standard_normal((20, 2))
+        cfg = FitConfig(k=2, alpha=1.0, restarts=1, mode="second_variation")
+        with pytest.raises(InputError):
+            fit(x, cfg, init_labels=np.arange(20) % 2)
+
+    def test_mode_named_function_checks_alpha_of_its_own_mode(self, rng):
+        with pytest.raises(InputError):
+            fit_kmeans_alpha2(rng.standard_normal(10), FitConfig(k=2, alpha=1.0))
