@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import InputError
+from .errors import InputError, NumericInvariantError
 
 __all__ = [
     "validate_alpha",
@@ -93,7 +93,8 @@ class DistanceCache:
     Built once per data set and then shared read-only by every statistic and
     by the solver; the matrix is write-protected after construction.  The
     diagonal is exactly zero and symmetry is exact by construction (each
-    pair is computed once and mirrored).
+    pair is computed once and mirrored).  Distinct points whose distances
+    all underflow to 0.0 raise NumericInvariantError.
     """
 
     def __init__(self, data, alpha):
@@ -104,6 +105,8 @@ class DistanceCache:
             condensed = pdist(x, "sqeuclidean")
         else:
             condensed = pdist(x, "euclidean") ** self.alpha
+        if not condensed.any() and (x != x[0]).any():
+            raise NumericInvariantError("distances between distinct points all underflow to 0.0")
         dist = squareform(condensed)
         dist.setflags(write=False)
         self.dist = dist

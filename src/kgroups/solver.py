@@ -1,7 +1,8 @@
 """K-groups fitting by local relocation search.
 
 Three fit modes, each listed once in `FIT_MODES` with the names the
-harness and the CLI use for it, share one restart driver (`_fit`):
+harness and the CLI use for it, share one restart driver (`_fit`), one
+ledger sweep (`_LedgerState`) and the n x n distance cache:
 
 * first_variation  - move one point at a time; a point is relocated when the
   weighted energy statistic against its own cluster exceeds the minimum
@@ -9,9 +10,9 @@ harness and the CLI use for it, share one restart driver (`_fit`):
 * second_variation - the first variation applied to m = 2 points: points are
   pre-paired by greedy closest matching and pairs move together, which lets
   the search escape some single-point local minima.
-* kmeans_alpha2    - the alpha=2 special case evaluated through maintained
-  centroids (the Hartigan-Wong transfer criterion); it produces the same
-  move sequence as first variation at alpha=2 without the O(n^2) cache.
+* kmeans_alpha2    - first variation with alpha fixed at 2.  There the
+  statistic of a point against a cluster is twice its squared distance to
+  the centroid, so the sweep is Hartigan and Wong's k-means transfer.
 
 Relocation gains are exact: moving points S (|S| = m) from a cluster of
 size n1 into one of size n2 changes the objective by
@@ -23,7 +24,9 @@ where xi is the two-sample energy statistic between S and the cluster
 evaluates both terms against every cluster; the single-point and pair
 sweeps, the insertion of a held-out point and `mth_variation_delta` all
 call it.  A move is applied only when this gain is strictly positive, so
-the objective strictly decreases and the search terminates.
+the objective strictly decreases and the search terminates.  When a sweep
+stops, its maintained objective is checked against a fresh one and a
+drifted ledger is rebuilt before the sweep resumes.
 """
 
 from __future__ import annotations
@@ -218,10 +221,7 @@ def move_points(partition, ledger, points, to) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sweep states.  Each has `ids` (one trace id per item), `visit(t)` (move
-# item t if that gains, returning (source, target) or None), `within_value()`
-# and `finish()`, which returns the restart's partition of all n points and
-# its objective.
+# The sweep
 
 
 class _LedgerState:
@@ -265,6 +265,24 @@ class _LedgerState:
     def within_value(self) -> float:
         return self.ledger.within_dispersion(self.partition)
 
+    def reanchor(self) -> bool:
+        """Rebuild a ledger whose objective drifted from a fresh one.
+
+        On mixed-scale data the distances that moves between far clusters
+        add and subtract swamp the sums inside clusters.  Returns whether
+        the ledger was rebuilt.
+        """
+        part = self.partition
+        dist = self.ledger.dist
+        onehot = np.eye(part.k)[part.labels]
+        within = 0.5 * (onehot * (dist @ onehot)).sum(axis=0)
+        fresh = float(np.sort(within / part.sizes).sum())
+        # a rebuild cannot mend NaN or inf; the final check reports them
+        if not abs(self.within_value() - fresh) > 1e-9 * abs(fresh):
+            return False
+        self.ledger = ClusterSumLedger(part, dist)
+        return True
+
     def finish(self):
         part = self.partition
         if self.full is None:
@@ -279,61 +297,6 @@ class _LedgerState:
             )[2]
         final = Partition(labels, part.k)
         return final, ClusterSumLedger(final, self.full).within_dispersion(final)
-
-
-class _CentroidState:
-    """Alpha=2 sweep through maintained centroids; no distance cache.
-
-    The transfer criterion n1*D(i, own)^2/(n1-1) vs n2*D(i, other)^2/(n2+1)
-    equals the energy-statistic criterion at alpha=2, so decisions (and
-    hence move traces) match the ledger path up to floating-point ties.
-    """
-
-    def __init__(self, x, partition):
-        self.x = x
-        self.partition = partition
-        self.ids = range(partition.n)
-        self.coord_sums = np.zeros((partition.k, x.shape[1]))
-        for j in range(partition.k):
-            self.coord_sums[j] = x[partition.cluster_indices(j)].sum(axis=0)
-
-    def visit(self, i):
-        part = self.partition
-        sizes = part.sizes
-        frm = int(part.labels[i])
-        n1 = int(sizes[frm])
-        if n1 < 2 or part.k < 2:
-            return None
-        xi = self.x[i]
-        centroids = self.coord_sums / sizes[:, None]
-        d2 = ((centroids - xi) ** 2).sum(axis=1)
-        e1 = n1 * float(d2[frm]) / (n1 - 1.0)
-        best = math.inf
-        best_j = -1
-        for j in range(part.k):
-            if j == frm:
-                continue
-            nj = int(sizes[j])
-            e2 = nj * float(d2[j]) / (nj + 1.0)
-            if e2 < best:
-                best = e2
-                best_j = j
-        if e1 > best:
-            part._apply_move(i, best_j)
-            self.coord_sums[frm] -= xi
-            self.coord_sums[best_j] += xi
-            return frm, best_j
-        return None
-
-    def within_value(self) -> float:
-        # Squared deviations from the maintained centroids, summed point by
-        # point: no cancellation against a total sum of squares when the data
-        # sit far from the origin, and no dependence on cluster numbering.
-        centroids = self.coord_sums / self.partition.sizes[:, None]
-        return float(((self.x - centroids[self.partition.labels]) ** 2).sum())
-
-    def finish(self):
-        return self.partition, self.within_value()
 
 
 def _sweep(state, max_passes, trace):
@@ -353,6 +316,9 @@ def _sweep(state, max_passes, trace):
                 if trace is not None:
                     trace.append((state.ids[t], mv[0], mv[1], state.within_value()))
         passes += 1
+        # a drifted ledger is rebuilt, then swept again while passes are left
+        if (still >= n_items or passes == max_passes) and state.reanchor():
+            still = 0
     return passes, moves
 
 
@@ -381,6 +347,8 @@ def min_distance_pairs(dist) -> list:
         used[i] = True
         row = np.where(used, np.inf, dist[i])
         j = int(np.argmin(row))
+        if used[j]:  # every unpaired distance is inf: take the lowest unpaired index
+            j = int(np.argmin(used))
         used[j] = True
         pairs.append((i, j))
     return pairs
@@ -421,18 +389,11 @@ def _pair_state(cache, k, rng, even_items) -> _LedgerState:
     return _LedgerState(sub, Partition(labels, k), items, ids, full=cache, held=held)
 
 
-def _sq_deviations(x, partition) -> float:
-    # the alpha=2 objective from fresh cluster means
-    groups = (x[partition.cluster_indices(j)] for j in range(partition.k))
-    return sum(float(((g - g.mean(axis=0)) ** 2).sum()) for g in groups)
-
-
 def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
     """Run cfg.restarts sweeps in `mode` and keep the lowest objective.
 
     Ties keep the earliest restart.  The winner's objective must match a
-    from-scratch recomputation (disco, or squared deviations from fresh
-    cluster means on the centroid path) to 1e-9 relative, NaN included.
+    from-scratch recomputation by disco to 1e-9 relative, NaN included.
     """
     cfg = replace(cfg, mode=mode)  # re-validates, e.g. alpha=2 for kmeans
     pairs = mode == "second_variation"
@@ -449,7 +410,7 @@ def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
         start = Partition(init_labels, cfg.k)
         if start.n != n:
             raise InputError("init_labels length does not match the data")
-    cache = None if mode == "kmeans_alpha2" else DistanceCache(x, cfg.alpha)
+    cache = DistanceCache(x, cfg.alpha)
     even_items = _pair_items(cache.dist) if pairs and n % 2 == 0 else None
     points = [((i,), 0.0) for i in range(n)]
 
@@ -460,17 +421,14 @@ def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
             state = _pair_state(cache, cfg.k, rng, even_items)
         else:
             part = start if r == 0 and start is not None else random_partition(n, cfg.k, rng)
-            if cache is None:
-                state = _CentroidState(x, part)
-            else:
-                state = _LedgerState(cache, part, points, range(n))
+            state = _LedgerState(cache, part, points, range(n))
         trace = [] if collect_trace else None
         passes, moves = _sweep(state, cfg.max_passes, trace)
         part, w = state.finish()
         results.append((w, part, passes, moves, trace))
     w, part, passes, moves, trace = min(results, key=lambda res: res[0])
 
-    fresh = _sq_deviations(x, part) if cache is None else disco(part, cache).within
+    fresh = disco(part, cache).within
     if not abs(w - fresh) <= 1e-9 * max(1.0, abs(fresh)):
         raise NumericInvariantError(
             f"{mode} objective {w!r} disagrees with recomputation {fresh!r}"
@@ -507,11 +465,12 @@ def fit_second_variation(data, cfg: FitConfig, *, collect_trace=False) -> FitRes
 
 
 def fit_kmeans_alpha2(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
-    """K-means via the centroid transfer criterion (the alpha=2 special case).
+    """K-means as the alpha=2 case of first variation.
 
-    Identical restart seeding and sweep order to `fit_first_variation`, so a
-    run at alpha=2 reproduces that fit's move sequence while avoiding the
-    O(n^2) distance cache.  The reported objective equals the total
-    within-cluster sum of squared deviations from centroids.
+    At alpha=2 the energy statistic of a point against a cluster is twice
+    its squared distance to the centroid, so the ledger sweep applies
+    Hartigan and Wong's transfer criterion.  The result equals
+    `fit_first_variation` at alpha=2; `within` is the total within-cluster
+    sum of squared deviations from the centroids.
     """
     return _fit(data, cfg, "kmeans_alpha2", init_labels, collect_trace)

@@ -42,6 +42,47 @@ def brute_within(x, labels, alpha):
     return total
 
 
+def hartigan_wong_transfers(x, labels, k, max_passes=50):
+    """Move trace of Hartigan and Wong's single-point transfer sweep (k >= 2).
+
+    Plain numpy over maintained centroids, with no distance matrix: point i
+    leaves its cluster of size n1 >= 2 for the cluster j of size n2 that
+    minimises n2*d2(i, c_j)/(n2+1), when that is below n1*d2(i, c_own)/(n1-1)
+    (ties keep the lowest j).  Points are visited in index order until n
+    consecutive visits move nothing or max_passes passes are done.  Returns
+    the (i, source, target) moves and the final labels.
+    """
+    labels = np.array(labels, dtype=np.intp).ravel()
+    n = labels.size
+    x = np.asarray(x, dtype=float).reshape(n, -1)
+    sizes = np.bincount(labels, minlength=k)
+    coord_sums = np.array([x[labels == j].sum(axis=0) for j in range(k)])
+    trace = []
+    passes = still = 0
+    while passes < max_passes and still < n:
+        for i in range(n):
+            frm = int(labels[i])
+            n1 = int(sizes[frm])
+            d2 = ((coord_sums / sizes[:, None] - x[i]) ** 2).sum(axis=1)
+            cost = sizes * d2 / (sizes + 1.0)
+            cost[frm] = np.inf
+            to = int(np.argmin(cost))
+            if n1 >= 2 and n1 * float(d2[frm]) / (n1 - 1.0) > cost[to]:
+                labels[i] = to
+                sizes[frm] -= 1
+                sizes[to] += 1
+                coord_sums[frm] -= x[i]
+                coord_sums[to] += x[i]
+                trace.append((i, frm, to))
+                still = 0
+            else:
+                still += 1
+                if still >= n:
+                    break
+        passes += 1
+    return trace, labels
+
+
 def brute_pair_counts(a, b):
     """Pair-agreement counts by direct enumeration over all point pairs."""
     a = np.asarray(a).ravel()

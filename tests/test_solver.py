@@ -23,7 +23,7 @@ from kgroups import (
     mth_variation_delta,
 )
 
-from conftest import brute_within, random_instance
+from conftest import brute_within, hartigan_wong_transfers, random_instance
 
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
 
@@ -170,6 +170,12 @@ class TestPairing:
         pairs_a = min_distance_pairs(DistanceCache(x, 0.5).dist)
         pairs_b = min_distance_pairs(DistanceCache(x, 2.0).dist)
         assert pairs_a == pairs_b
+
+    def test_all_infinite_rows_still_pair_each_point_once(self):
+        dist = np.full((6, 6), np.inf)
+        np.fill_diagonal(dist, 0.0)
+        pairs = min_distance_pairs(dist)
+        assert sorted(i for pair in pairs for i in pair) == list(range(6))
 
 
 class TestFitFirstVariation:
@@ -368,6 +374,22 @@ class TestFitKmeansAlpha2:
         with pytest.raises(InputError):
             FitConfig(k=2, alpha=1.0, mode="kmeans_alpha2")
 
+    def test_kmeans_reproduces_hartigan_wong_transfers(self):
+        # the instances of acceptance criterion 3(c), each from a random start
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            n = int(gen.integers(20, 60))
+            p = int(gen.integers(1, 4))
+            k = int(gen.integers(2, 5))
+            x = gen.standard_normal((n, p)) * 2
+            labels = np.arange(n) % k
+            gen.shuffle(labels)
+            cfg = FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=seed, mode="kmeans_alpha2")
+            result = fit_kmeans_alpha2(x, cfg, init_labels=labels, collect_trace=True)
+            moves, final = hartigan_wong_transfers(x, labels, k)
+            assert [m[:3] for m in result.trace] == moves
+            assert np.array_equal(result.partition.labels, final)
+
 
 class TestDispatcher:
     def test_fit_routes_by_mode(self, rng):
@@ -420,6 +442,21 @@ class TestNumericInvariant:
             assert result.within == pytest.approx(twss, rel=1e-9)
         assert failures == 0
 
+    @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
+    def test_underflowing_scale_fails_loudly(self, mode):
+        # every distance underflows to 0.0, so no move gains and the random
+        # start would pass the objective check
+        alpha = 2.0 if mode == "kmeans_alpha2" else 1.0
+        cfg = FitConfig(k=2, alpha=alpha, restarts=2, rng_seed=0, mode=mode)
+        with pytest.raises(NumericInvariantError):
+            fit(_two_clusters(0, n=40) * 1e-200, cfg)
+
+    @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
+    def test_identical_points_fit_with_zero_objective(self, mode):
+        alpha = 2.0 if mode == "kmeans_alpha2" else 1.0
+        cfg = FitConfig(k=2, alpha=alpha, restarts=2, rng_seed=0, mode=mode)
+        assert fit(np.full((20, 2), 3.0), cfg).within == 0.0
+
 
 class TestFitDriver:
     def test_second_variation_rejects_init_labels(self, rng):
@@ -431,3 +468,46 @@ class TestFitDriver:
     def test_mode_named_function_checks_alpha_of_its_own_mode(self, rng):
         with pytest.raises(InputError):
             fit_kmeans_alpha2(rng.standard_normal(10), FitConfig(k=2, alpha=1.0))
+
+
+def _far_pair(n, sep, spread, seed=0):
+    rng = np.random.default_rng(seed)
+    truth = np.arange(n) >= n // 2
+    return rng.standard_normal(n) * spread + sep * truth, truth
+
+
+class TestMixedScale:
+    @pytest.mark.parametrize("n", [200, 201])
+    @pytest.mark.parametrize(
+        "mode, alpha",
+        [
+            ("first_variation", 1.0),
+            ("first_variation", 2.0),
+            ("second_variation", 1.0),
+            ("second_variation", 2.0),
+            ("kmeans_alpha2", 2.0),
+        ],
+    )
+    def test_far_tight_clusters_fit(self, n, mode, alpha):
+        # clusters 1e8 apart with spread 1e-8: moves between them swamp the
+        # maintained within-cluster sums, which the re-anchored ledger repairs
+        x, truth = _far_pair(n, 1e8, 1e-8)
+        result = fit(x, FitConfig(k=2, alpha=alpha, restarts=3, rng_seed=0, mode=mode))
+        labels = result.partition.labels
+        assert np.array_equal(labels == labels[0], truth == truth[0])
+
+    @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
+    def test_objective_below_one_is_exact(self, mode):
+        # clusters 100 apart with spread 1e-6: the objective is ~2e-10, far
+        # below the absolute floor of the final check, yet must still be exact
+        x, _ = _far_pair(200, 1e2, 1e-6)
+        result = fit(x, FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=0, mode=mode))
+        assert result.within == pytest.approx(brute_within(x, result.partition.labels, 2.0), rel=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1e6, 1e8, 1e12])
+    def test_kmeans_separation_to_spread_range(self, ratio):
+        for seed in range(3):
+            x, truth = _far_pair(200, ratio, 1.0, seed)
+            cfg = FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=seed, mode="kmeans_alpha2")
+            labels = fit(x, cfg).partition.labels
+            assert np.array_equal(labels == labels[0], truth == truth[0])
