@@ -46,11 +46,7 @@ from .partition import ClusterSumLedger, Partition, contingency, move_point, ran
 from .solver import (
     FitConfig,
     FitResult,
-    first_variation_delta,
     fit,
-    fit_first_variation,
-    fit_kmeans_alpha2,
-    fit_second_variation,
     min_distance_pairs,
     move_points,
     mth_variation_delta,
@@ -83,14 +79,10 @@ __all__ = [
     # solver
     "FitConfig",
     "FitResult",
-    "first_variation_delta",
     "mth_variation_delta",
     "move_points",
     "min_distance_pairs",
     "fit",
-    "fit_first_variation",
-    "fit_second_variation",
-    "fit_kmeans_alpha2",
     # indices
     "ContingencyTable",
     "IndexReport",

@@ -32,7 +32,7 @@ from .harness import (
     run_experiment,
 )
 from .indices import ContingencyTable, index_report
-from .solver import FIT_MODES, fit, fit_mode
+from .solver import fit, fit_mode
 
 
 def _add_fit(sub):
@@ -40,7 +40,7 @@ def _add_fit(sub):
     p.add_argument("--input", required=True, help="input CSV (optional header)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--alpha", type=float, default=1.0, help="distance exponent in (0,2]")
-    p.add_argument("--mode", choices=sorted(m.cli for m in FIT_MODES), default="first")
+    p.add_argument("--mode", choices=ALGORITHMS, default="kgroups_first")
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-passes", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -101,7 +101,7 @@ def _parse_list(text, cast=str):
 
 def _cmd_fit(args) -> int:
     x, truth = kio.read_data_csv(args.input, truth_last=args.truth_last)
-    cfg = fit_mode(cli=args.mode).config(
+    cfg = fit_mode(algorithm=args.mode).config(
         k=args.k,
         alpha=args.alpha,
         restarts=args.restarts,

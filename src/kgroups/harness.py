@@ -103,10 +103,9 @@ def design_mixture(design, *, separation=3.0, dim=1, n=200, seed=0) -> MixtureSp
             Component(0.5, "cubic_uniform", (0.3, 0.7)),
         )
         return MixtureSpec(components=comps, dim=int(dim), n=int(n), seed=int(seed))
-    family = {"normal": "normal", "lognormal": "lognormal", "cauchy": "cauchy"}[design]
     comps = (
-        Component(0.5, family, (0.0, 1.0)),
-        Component(0.5, family, (float(separation), 1.0)),
+        Component(0.5, design, (0.0, 1.0)),
+        Component(0.5, design, (float(separation), 1.0)),
     )
     return MixtureSpec(components=comps, dim=int(dim), n=int(n), seed=int(seed))
 
@@ -181,27 +180,10 @@ class ReplicateRecord:
 
 @dataclass
 class ResultTable:
-    """Aggregated index means and standard errors per (algorithm, sweep value).
-
-    Rows carry a volatile `runtime_mean_s` alongside the score columns;
-    equality covers only the persistent content (meta plus score columns),
-    since wall-clock timings differ run to run by nature.
-    """
+    """Aggregated index means and standard errors per (algorithm, sweep value)."""
 
     meta: dict
     rows: list
-
-    @staticmethod
-    def _persistent(row):
-        return {k: row.get(k) for k in TABLE_COLUMNS}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResultTable)
-            and self.meta == other.meta
-            and [self._persistent(r) for r in self.rows]
-            == [self._persistent(r) for r in other.rows]
-        )
 
 
 @dataclass
@@ -318,8 +300,6 @@ def _aggregate(spec: ExperimentSpec, records: list) -> ResultTable:
                 mean, se = _mean_se([getattr(r, name) for r in ok])
                 row[f"{name}_mean"] = mean
                 row[f"{name}_se"] = se
-            runtime_mean, _ = _mean_se([r.runtime_s for r in ok])
-            row["runtime_mean_s"] = runtime_mean
             rows.append(row)
     meta = spec.meta()
     meta["schema_version"] = SCHEMA_VERSION
@@ -450,12 +430,11 @@ def records_from_csv(text: str) -> list:
 
 
 def _json_text(result: ExperimentResult) -> str:
-    rows = [{k: row.get(k) for k in TABLE_COLUMNS} for row in result.table.rows]
     raw = [{k: getattr(r, k) for k in RAW_COLUMNS} for r in result.records]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "meta": result.table.meta,
-        "rows": rows,
+        "rows": result.table.rows,
         "raw": raw,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

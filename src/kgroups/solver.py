@@ -1,8 +1,9 @@
 """K-groups fitting by local relocation search.
 
-Three fit modes, each listed once in `FIT_MODES` with the names the
-harness and the CLI use for it, share one restart driver (`_fit`), one
-ledger sweep (`_LedgerState`) and the n x n distance cache:
+Three fit modes, each listed once in `FIT_MODES` under its `FitConfig.mode`
+name and the algorithm name the harness and the CLI use, share one entry
+point (`fit`, which runs the mode cfg.mode names), one ledger sweep
+(`_LedgerState`) and the n x n distance cache:
 
 * first_variation  - move one point at a time; a point is relocated when the
   weighted energy statistic against its own cluster exceeds the minimum
@@ -23,16 +24,18 @@ where xi is the two-sample energy statistic between S and the cluster
 (including S itself on the source side).  One kernel, `_relocation_costs`,
 evaluates both terms against every cluster; the single-point and pair
 sweeps, the insertion of a held-out point and `mth_variation_delta` all
-call it.  A move is applied only when this gain is strictly positive, so
-the objective strictly decreases and the search terminates.  When a sweep
-stops, its maintained objective is checked against a fresh one and a
-drifted ledger is rebuilt before the sweep resumes.
+call it.  A move is applied only when this gain, as computed in floating
+point, is strictly positive.  A move whose exact gain is 0 is taken when
+rounding makes it positive, so the exact objective need not strictly
+decrease; `max_passes` bounds the search as well.  When a sweep stops, its
+maintained objective is checked against a fresh one and a drifted ledger
+is rebuilt before the sweep resumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,14 +56,10 @@ __all__ = [
     "fit_mode",
     "FitConfig",
     "FitResult",
-    "first_variation_delta",
     "mth_variation_delta",
     "move_points",
     "min_distance_pairs",
     "fit",
-    "fit_first_variation",
-    "fit_second_variation",
-    "fit_kmeans_alpha2",
 ]
 
 
@@ -68,8 +67,7 @@ class FitMode(NamedTuple):
     """One fit mode under the name each layer knows it by."""
 
     mode: str  # FitConfig.mode
-    algorithm: str  # harness and dermatology algorithm name
-    cli: str  # `kgroups fit --mode` choice
+    algorithm: str  # harness, dermatology and `kgroups fit --mode` name
     alpha2: bool  # the exponent is fixed at 2
 
     def config(self, alpha, **settings) -> FitConfig:
@@ -78,15 +76,15 @@ class FitMode(NamedTuple):
 
 
 FIT_MODES = (
-    FitMode("first_variation", "kgroups_first", "first", False),
-    FitMode("second_variation", "kgroups_second", "second", False),
-    FitMode("kmeans_alpha2", "kmeans", "kmeans", True),
+    FitMode("first_variation", "kgroups_first", False),
+    FitMode("second_variation", "kgroups_second", False),
+    FitMode("kmeans_alpha2", "kmeans", True),
 )
 MODES = tuple(m.mode for m in FIT_MODES)
 
 
 def fit_mode(**key) -> FitMode:
-    """The FIT_MODES entry matching one field, e.g. fit_mode(cli="first")."""
+    """The FIT_MODES entry matching one field, e.g. fit_mode(algorithm="kmeans")."""
     ((attr, value),) = key.items()
     for m in FIT_MODES:
         if getattr(m, attr) == value:
@@ -205,12 +203,6 @@ def mth_variation_delta(partition, ledger, points, to) -> float:
         cross, ledger.within[both].tolist(), partition.sizes[both].tolist(), spread, m, 0
     )
     return removal - insertion
-
-
-def first_variation_delta(partition, ledger, i, to) -> float:
-    """Exact objective change from moving point i into cluster `to`: the
-    m = 1 case of `mth_variation_delta`."""
-    return mth_variation_delta(partition, ledger, [i], to)
 
 
 def move_points(partition, ledger, points, to) -> None:
@@ -389,14 +381,23 @@ def _pair_state(cache, k, rng, even_items) -> _LedgerState:
     return _LedgerState(sub, Partition(labels, k), items, ids, full=cache, held=held)
 
 
-def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
-    """Run cfg.restarts sweeps in `mode` and keep the lowest objective.
+def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
+    """Fit k-groups in the mode named by cfg.mode.
 
-    Ties keep the earliest restart.  The winner's objective must match a
+    Runs cfg.restarts independent sweeps from random nonempty partitions and
+    returns the lowest-objective result (ties keep the earliest restart).
+    When `init_labels` is given, the first restart starts from that
+    partition instead of a random one (not in second variation, whose
+    restarts start from random pairs).  The winner's objective must match a
     from-scratch recomputation by disco to 1e-9 relative, NaN included.
+
+    Second variation pairs the points by greedy closest matching on the
+    cached powered distances and relocates pairs together; with an odd n
+    each restart holds one random point out of the pairing and inserts it
+    afterwards by the single-point rule.  In kmeans_alpha2 `within` is the
+    total within-cluster sum of squared deviations from the centroids.
     """
-    cfg = replace(cfg, mode=mode)  # re-validates, e.g. alpha=2 for kmeans
-    pairs = mode == "second_variation"
+    pairs = cfg.mode == "second_variation"
     x = as_data_matrix(data)
     n = x.shape[0]
     if cfg.k > n:
@@ -429,48 +430,9 @@ def _fit(data, cfg: FitConfig, mode, init_labels, collect_trace) -> FitResult:
     w, part, passes, moves, trace = min(results, key=lambda res: res[0])
 
     fresh = disco(part, cache).within
-    if not abs(w - fresh) <= 1e-9 * max(1.0, abs(fresh)):
+    if not abs(w - fresh) <= 1e-9 * abs(fresh):
         raise NumericInvariantError(
-            f"{mode} objective {w!r} disagrees with recomputation {fresh!r}"
+            f"{cfg.mode} objective {w!r} disagrees with recomputation {fresh!r}"
         )
     per_restart = [res[0] for res in results]
     return FitResult(part, w, passes, moves, cfg.rng_seed, per_restart, trace)
-
-
-def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
-    """Fit in the mode named by cfg.mode.
-
-    Runs cfg.restarts independent searches from random nonempty partitions
-    and returns the lowest-objective result (ties keep the earliest
-    restart).  When `init_labels` is given, the first restart starts from
-    that partition instead of a random one (not in second variation).
-    """
-    return _fit(data, cfg, cfg.mode, init_labels, collect_trace)
-
-
-def fit_first_variation(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
-    """K-groups by single-point relocation, whatever cfg.mode says."""
-    return _fit(data, cfg, "first_variation", init_labels, collect_trace)
-
-
-def fit_second_variation(data, cfg: FitConfig, *, collect_trace=False) -> FitResult:
-    """K-groups by paired relocation, whatever cfg.mode says.
-
-    Points are paired once by greedy closest matching on the cached powered
-    distances; pairs are then randomly assigned to clusters and relocated
-    together.  With an odd point count one random point sits out of the
-    pairing and is inserted afterwards by the single-point rule.
-    """
-    return _fit(data, cfg, "second_variation", None, collect_trace)
-
-
-def fit_kmeans_alpha2(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
-    """K-means as the alpha=2 case of first variation.
-
-    At alpha=2 the energy statistic of a point against a cluster is twice
-    its squared distance to the centroid, so the ledger sweep applies
-    Hartigan and Wong's transfer criterion.  The result equals
-    `fit_first_variation` at alpha=2; `within` is the total within-cluster
-    sum of squared deviations from the centroids.
-    """
-    return _fit(data, cfg, "kmeans_alpha2", init_labels, collect_trace)

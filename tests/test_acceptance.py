@@ -22,10 +22,7 @@ from kgroups import (
     disco,
     emit_outputs,
     energy_statistic,
-    first_variation_delta,
-    fit_first_variation,
-    fit_kmeans_alpha2,
-    fit_second_variation,
+    fit,
     mth_variation_delta,
     rand_index,
     run_experiment,
@@ -88,7 +85,7 @@ def test_criterion_2_update_formula_oracle():
         movable = np.flatnonzero(part.sizes[part.labels] >= 2)
         i = int(rng.choice(movable))
         to = int((part.labels[i] + 1) % k)
-        delta = first_variation_delta(part, ledger, i, to)
+        delta = mth_variation_delta(part, ledger, [i], to)
         moved = labels.copy()
         moved[i] = to
         oracle = w_before - brute_within(x, moved, alpha)
@@ -158,10 +155,10 @@ def test_criterion_3_alpha2_equivalence():
         p = int(gen.integers(1, 4))
         k = int(gen.integers(2, 5))
         x = gen.standard_normal((n, p)) * 2
-        ra = fit_first_variation(
+        ra = fit(
             x, FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=seed), collect_trace=True
         )
-        rb = fit_kmeans_alpha2(
+        rb = fit(
             x,
             FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=seed, mode="kmeans_alpha2"),
             collect_trace=True,
@@ -333,12 +330,7 @@ def test_criterion_9a_descent_and_termination():
             cfg = FitConfig(
                 k=3, alpha=alpha, restarts=2, max_passes=50, rng_seed=seed, mode=mode
             )
-            if mode == "first_variation":
-                res = fit_first_variation(x, cfg, collect_trace=True)
-            elif mode == "second_variation":
-                res = fit_second_variation(x, cfg, collect_trace=True)
-            else:
-                res = fit_kmeans_alpha2(x, cfg, collect_trace=True)
+            res = fit(x, cfg, collect_trace=True)
             ws = [w for *_, w in res.trace]
             if any(b > a * (1 + 1e-12) + 1e-12 for a, b in zip(ws, ws[1:])):
                 violations += 1

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from kgroups.cli import main
+from kgroups.cli import build_parser, main
+from kgroups.harness import ALGORITHMS
 from kgroups.io import read_data_csv, read_labels_csv, write_labels_csv
 
 
@@ -98,6 +99,20 @@ class TestFitCommand:
         ])
         assert code == 0
         assert json.loads((out / "fit.json").read_text())["alpha"] == 2.0
+
+    def test_second_variation_mode_recorded(self, blob_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "fit", "--input", blob_csv, "--k", "2", "--mode", "kgroups_second",
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["mode"] == "second_variation"
+
+    def test_mode_choices_are_the_algorithm_names(self):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        (mode,) = [a for a in subparsers.choices["fit"]._actions if a.dest == "mode"]
+        assert tuple(mode.choices) == ALGORITHMS
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "none.csv"), "--k", "2"]) == 2

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kgroups
+import kgroups.solver as solver
 from kgroups import (
     ClusterSumLedger,
     DistanceCache,
@@ -13,11 +15,7 @@ from kgroups import (
     contingency,
     disco,
     energy_statistic,
-    first_variation_delta,
     fit,
-    fit_first_variation,
-    fit_kmeans_alpha2,
-    fit_second_variation,
     min_distance_pairs,
     move_points,
     mth_variation_delta,
@@ -44,7 +42,7 @@ class TestFirstVariationDelta:
         # moving the middle point of a tight pair into the far cluster
         x = np.array([[0.0], [0.1], [10.0]])
         cache, p, ledger = _ledger_for(x, [0, 0, 1], 2, 1.0)
-        assert first_variation_delta(p, ledger, 1, 1) < 0
+        assert mth_variation_delta(p, ledger, [1], 1) < 0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_matches_scratch_recomputation(self, alpha):
@@ -54,7 +52,7 @@ class TestFirstVariationDelta:
             cache, p, ledger = _ledger_for(x, labels, k, alpha)
             i = _movable_point(rng, p)
             to = int((p.labels[i] + 1) % k)
-            delta = first_variation_delta(p, ledger, i, to)
+            delta = mth_variation_delta(p, ledger, [i], to)
             before = brute_within(x, labels, alpha)
             moved = labels.copy()
             moved[i] = to
@@ -77,29 +75,17 @@ class TestFirstVariationDelta:
             oracle = n1 * float(((x[i] - c1) ** 2).sum()) / (n1 - 1) - n2 * float(
                 ((x[i] - c2) ** 2).sum()
             ) / (n2 + 1)
-            delta = first_variation_delta(p, ledger, i, to)
+            delta = mth_variation_delta(p, ledger, [i], to)
             assert delta == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_singleton_source_rejected(self):
         x = np.array([[0.0], [1.0], [9.0]])
         cache, p, ledger = _ledger_for(x, [0, 0, 1], 2, 1.0)
         with pytest.raises(RejectedMoveError):
-            first_variation_delta(p, ledger, 2, 0)
+            mth_variation_delta(p, ledger, [2], 0)
 
 
 class TestMthVariationDelta:
-    def test_m1_equals_first_variation(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            x, labels, k = random_instance(rng)
-            alpha = float(rng.choice(ALPHAS))
-            cache, p, ledger = _ledger_for(x, labels, k, alpha)
-            i = _movable_point(rng, p)
-            to = int((p.labels[i] + 1) % k)
-            d1 = first_variation_delta(p, ledger, i, to)
-            dm = mth_variation_delta(p, ledger, [i], to)
-            assert dm == pytest.approx(d1, rel=1e-12, abs=1e-12)
-
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_scratch_recomputation(self, m):
         rng = np.random.default_rng(37 + m)
@@ -184,13 +170,13 @@ class TestFitFirstVariation:
         truth = np.array([0, 0, 0, 1, 1, 1])
         for seed in range(5):
             cfg = FitConfig(k=2, alpha=1.0, restarts=3, rng_seed=seed)
-            result = fit_first_variation(x, cfg)
+            result = fit(x, cfg)
             assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
 
     def test_objective_never_increases_along_trace(self, rng):
         x, _, _ = random_instance(rng, n_lo=30, n_hi=60)
         cfg = FitConfig(k=3, alpha=1.0, restarts=2, rng_seed=5)
-        result = fit_first_variation(x, cfg, collect_trace=True)
+        result = fit(x, cfg, collect_trace=True)
         ws = [w for _, _, _, w in result.trace]
         for a, b in zip(ws, ws[1:]):
             assert b <= a * (1 + 1e-12) + 1e-12
@@ -199,7 +185,7 @@ class TestFitFirstVariation:
         x, _, _ = random_instance(rng, n_lo=20, n_hi=50)
         for alpha in ALPHAS:
             cfg = FitConfig(k=3, alpha=alpha, restarts=2, rng_seed=2)
-            result = fit_first_variation(x, cfg)
+            result = fit(x, cfg)
             cache = DistanceCache(x, alpha)
             fresh = disco(result.partition, cache).within
             assert result.within == pytest.approx(fresh, rel=1e-9)
@@ -207,8 +193,8 @@ class TestFitFirstVariation:
     def test_deterministic_reproduction(self, rng):
         x = rng.standard_normal((50, 2))
         cfg = FitConfig(k=3, alpha=1.0, restarts=4, rng_seed=11)
-        r1 = fit_first_variation(x, cfg)
-        r2 = fit_first_variation(x, cfg)
+        r1 = fit(x, cfg)
+        r2 = fit(x, cfg)
         assert np.array_equal(r1.partition.labels, r2.partition.labels)
         assert r1.within == r2.within
         assert r1.per_restart_within == r2.per_restart_within
@@ -217,7 +203,7 @@ class TestFitFirstVariation:
     def test_best_restart_selected(self, rng):
         x = rng.standard_normal((40, 2))
         cfg = FitConfig(k=4, alpha=1.0, restarts=6, rng_seed=3)
-        result = fit_first_variation(x, cfg)
+        result = fit(x, cfg)
         assert result.within == min(result.per_restart_within)
 
     def test_initial_relabeling_leaves_objective_trajectory_unchanged(self, rng):
@@ -225,8 +211,8 @@ class TestFitFirstVariation:
         init = np.array([i % 3 for i in range(40)])
         perm = np.array([2, 0, 1])
         cfg = FitConfig(k=3, alpha=1.0, restarts=1, rng_seed=0)
-        r1 = fit_first_variation(x, cfg, init_labels=init, collect_trace=True)
-        r2 = fit_first_variation(x, cfg, init_labels=perm[init], collect_trace=True)
+        r1 = fit(x, cfg, init_labels=init, collect_trace=True)
+        r2 = fit(x, cfg, init_labels=perm[init], collect_trace=True)
         ws1 = [w for _, _, _, w in r1.trace]
         ws2 = [w for _, _, _, w in r2.trace]
         assert ws1 == ws2
@@ -236,20 +222,20 @@ class TestFitFirstVariation:
         for seed in range(10):
             x, _, _ = random_instance(rng, n_lo=20, n_hi=40)
             cfg = FitConfig(k=3, alpha=0.5, restarts=1, max_passes=50, rng_seed=seed)
-            result = fit_first_variation(x, cfg)
+            result = fit(x, cfg)
             assert result.passes <= cfg.max_passes
 
     def test_k_equals_n_returns_singletons_with_zero_moves(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         cfg = FitConfig(k=4, alpha=1.0, restarts=2, rng_seed=0)
-        result = fit_first_variation(x, cfg)
+        result = fit(x, cfg)
         assert result.moves == 0
         assert result.partition.sizes.tolist() == [1, 1, 1, 1]
         assert result.within == 0.0
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(InputError):
-            fit_first_variation(np.arange(3.0), FitConfig(k=4, alpha=1.0))
+            fit(np.arange(3.0), FitConfig(k=4, alpha=1.0))
 
 
 class TestFitSecondVariation:
@@ -258,7 +244,7 @@ class TestFitSecondVariation:
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         for seed in range(5):
             cfg = FitConfig(k=2, alpha=1.0, restarts=3, rng_seed=seed, mode="second_variation")
-            result = fit_second_variation(x, cfg)
+            result = fit(x, cfg)
             assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
 
     def test_pair_scores_match_mth_variation_delta(self, rng):
@@ -294,26 +280,26 @@ class TestFitSecondVariation:
         x = np.concatenate([rng.normal(0, 0.3, 9), rng.normal(12, 0.3, 10)])
         truth = np.array([0] * 9 + [1] * 10)
         cfg = FitConfig(k=2, alpha=1.0, restarts=4, rng_seed=1, mode="second_variation")
-        result = fit_second_variation(x, cfg)
+        result = fit(x, cfg)
         assert result.partition.n == 19
         assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
 
     def test_within_matches_disco(self, rng):
         x, _, _ = random_instance(rng, n_lo=21, n_hi=41)
         cfg = FitConfig(k=3, alpha=0.5, restarts=2, rng_seed=9, mode="second_variation")
-        result = fit_second_variation(x, cfg)
+        result = fit(x, cfg)
         cache = DistanceCache(x, 0.5)
         assert result.within == pytest.approx(disco(result.partition, cache).within, rel=1e-9)
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(InputError):
-            fit_second_variation(np.arange(5.0), FitConfig(k=3, alpha=1.0))
+            fit(np.arange(5.0), FitConfig(k=3, alpha=1.0, mode="second_variation"))
 
     def test_deterministic_reproduction(self, rng):
         x = rng.standard_normal((30, 2))
         cfg = FitConfig(k=2, alpha=1.0, restarts=3, rng_seed=8, mode="second_variation")
-        r1 = fit_second_variation(x, cfg)
-        r2 = fit_second_variation(x, cfg)
+        r1 = fit(x, cfg)
+        r2 = fit(x, cfg)
         assert np.array_equal(r1.partition.labels, r2.partition.labels)
         assert r1.per_restart_within == r2.per_restart_within
 
@@ -348,8 +334,8 @@ class TestFitKmeansAlpha2:
             x = rng.standard_normal((n, p_dim)) * 2
             cfg_a = FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=t, mode="first_variation")
             cfg_b = FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=t, mode="kmeans_alpha2")
-            ra = fit_first_variation(x, cfg_a, collect_trace=True)
-            rb = fit_kmeans_alpha2(x, cfg_b, collect_trace=True)
+            ra = fit(x, cfg_a, collect_trace=True)
+            rb = fit(x, cfg_b, collect_trace=True)
             assert [(i, f, to) for i, f, to, _ in ra.trace] == [
                 (i, f, to) for i, f, to, _ in rb.trace
             ]
@@ -358,14 +344,14 @@ class TestFitKmeansAlpha2:
     def test_objective_equals_alpha2_disco(self, rng):
         x = rng.standard_normal((40, 3))
         cfg = FitConfig(k=3, alpha=2.0, restarts=2, rng_seed=4, mode="kmeans_alpha2")
-        result = fit_kmeans_alpha2(x, cfg)
+        result = fit(x, cfg)
         cache = DistanceCache(x, 2.0)
         assert result.within == pytest.approx(disco(result.partition, cache).within, rel=1e-9)
 
     def test_k1_reports_total_sum_of_squares(self, rng):
         x = rng.standard_normal((25, 2))
         cfg = FitConfig(k=1, alpha=2.0, restarts=1, rng_seed=0, mode="kmeans_alpha2")
-        result = fit_kmeans_alpha2(x, cfg)
+        result = fit(x, cfg)
         assert result.moves == 0
         twss = float(((x - x.mean(axis=0)) ** 2).sum())
         assert result.within == pytest.approx(twss, rel=1e-12)
@@ -385,7 +371,7 @@ class TestFitKmeansAlpha2:
             labels = np.arange(n) % k
             gen.shuffle(labels)
             cfg = FitConfig(k=k, alpha=2.0, restarts=1, rng_seed=seed, mode="kmeans_alpha2")
-            result = fit_kmeans_alpha2(x, cfg, init_labels=labels, collect_trace=True)
+            result = fit(x, cfg, init_labels=labels, collect_trace=True)
             moves, final = hartigan_wong_transfers(x, labels, k)
             assert [m[:3] for m in result.trace] == moves
             assert np.array_equal(result.partition.labels, final)
@@ -465,10 +451,6 @@ class TestFitDriver:
         with pytest.raises(InputError):
             fit(x, cfg, init_labels=np.arange(20) % 2)
 
-    def test_mode_named_function_checks_alpha_of_its_own_mode(self, rng):
-        with pytest.raises(InputError):
-            fit_kmeans_alpha2(rng.standard_normal(10), FitConfig(k=2, alpha=1.0))
-
 
 def _far_pair(n, sep, spread, seed=0):
     rng = np.random.default_rng(seed)
@@ -499,7 +481,7 @@ class TestMixedScale:
     @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
     def test_objective_below_one_is_exact(self, mode):
         # clusters 100 apart with spread 1e-6: the objective is ~2e-10, far
-        # below the absolute floor of the final check, yet must still be exact
+        # below 1, yet must still be exact
         x, _ = _far_pair(200, 1e2, 1e-6)
         result = fit(x, FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=0, mode=mode))
         assert result.within == pytest.approx(brute_within(x, result.partition.labels, 2.0), rel=1e-9)
@@ -511,3 +493,26 @@ class TestMixedScale:
             cfg = FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=seed, mode="kmeans_alpha2")
             labels = fit(x, cfg).partition.labels
             assert np.array_equal(labels == labels[0], truth == truth[0])
+
+    @pytest.mark.parametrize("mode", ["first_variation", "kmeans_alpha2"])
+    def test_final_check_catches_drift_below_one(self, mode, monkeypatch):
+        # with the re-anchor disabled the maintained objective of ~2e-10 is
+        # wrong by more than itself; the final check must see that below 1
+        monkeypatch.setattr(solver._LedgerState, "reanchor", lambda self: False)
+        for seed in range(3):
+            x, _ = _far_pair(200, 1e2, 1e-6, seed)
+            cfg = FitConfig(k=2, alpha=2.0, restarts=2, rng_seed=seed, mode=mode)
+            with pytest.raises(NumericInvariantError):
+                fit(x, cfg)
+
+
+class TestPublicSurface:
+    def test_exported_names_resolve(self):
+        for module in (kgroups, solver):
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_mode_named_entry_points_are_gone(self):
+        for name in ("fit_first_variation", "fit_second_variation", "fit_kmeans_alpha2",
+                     "first_variation_delta"):
+            assert not hasattr(kgroups, name)
