@@ -10,7 +10,10 @@ point (`fit`, which runs the mode cfg.mode names), one ledger sweep
   weighted statistic against any other cluster.
 * second_variation - the first variation applied to m = 2 points: points are
   pre-paired by greedy closest matching and pairs move together, which lets
-  the search escape some single-point local minima.
+  the search escape some single-point local minima.  With an odd n each
+  restart holds one random point out of its pairing; the point waits in a
+  cluster of its own on the same cache and ledger, which the sweep never
+  reads or targets, and is inserted by the single-point rule at the end.
 * kmeans_alpha2    - first variation with alpha fixed at 2.  There the
   statistic of a point against a cluster is twice its squared distance to
   the centroid, so the sweep is Hartigan and Wong's k-means transfer.
@@ -51,7 +54,6 @@ from .partition import (
 )
 
 __all__ = [
-    "MODES",
     "FIT_MODES",
     "fit_mode",
     "FitConfig",
@@ -80,7 +82,6 @@ FIT_MODES = (
     FitMode("second_variation", "kgroups_second", False),
     FitMode("kmeans_alpha2", "kmeans", True),
 )
-MODES = tuple(m.mode for m in FIT_MODES)
 
 
 def fit_mode(**key) -> FitMode:
@@ -220,20 +221,24 @@ class _LedgerState:
     """Ledger-backed sweep over items of m = 1 points or m = 2 points.
 
     Each item is (points, spread), spread being the mean distance inside the
-    points over their m*m ordered pairs.  The partition and ledger cover the
-    points the items are drawn from, indexed from 0.  With pairs (`full`
-    given) that may be every point but one held out of an odd n: `finish`
-    inserts it into the cluster where it costs least and rebuilds the ledger
-    on the full cache.
+    points over their m*m ordered pairs.  The partition and the ledger cover
+    all n points of the cache.  With pairs on an odd n, one point `held` is
+    in no pair: it sits alone in an extra cluster k, which the sweep never
+    reads or targets (`sizes` and the objective cover clusters 0..k-1 only).
+    `finish` inserts it into the cluster where it costs least, and with
+    pairs rebuilds the ledger for the final objective.
     """
 
-    def __init__(self, dist, partition, items, ids, full=None, held=None):
+    def __init__(self, cache, partition, items, ids, pairs=False, held=None):
         self.partition = partition
-        self.ledger = ClusterSumLedger(partition, dist)
+        self.ledger = ClusterSumLedger(partition, cache)
         self.items = items
         self.ids = ids
-        self.full = full
+        self.pairs = pairs
         self.held = held
+        self.k = partition.k - (held is not None)
+        # a view: moves update the partition's sizes in place
+        self.sizes = partition.sizes[: self.k]
 
     def visit(self, t):
         pts, spread = self.items[t]
@@ -241,7 +246,7 @@ class _LedgerState:
         ledger = self.ledger
         frm = int(part.labels[pts[0]])
         m = len(pts)
-        sizes = part.sizes.tolist()
+        sizes = self.sizes.tolist()
         if sizes[frm] <= m:
             return None
         cross = ledger.sums[pts[0]] if m == 1 else ledger.sums[pts[0]] + ledger.sums[pts[1]]
@@ -255,7 +260,9 @@ class _LedgerState:
         return None
 
     def within_value(self) -> float:
-        return self.ledger.within_dispersion(self.partition)
+        # sorted like ClusterSumLedger.within_dispersion, over clusters 0..k-1:
+        # a held-out term would regroup numpy's sum once there are 8 or more
+        return float(np.sort(self.ledger.within[: self.k] / self.sizes).sum())
 
     def reanchor(self) -> bool:
         """Rebuild a ledger whose objective drifted from a fresh one.
@@ -266,9 +273,9 @@ class _LedgerState:
         """
         part = self.partition
         dist = self.ledger.dist
-        onehot = np.eye(part.k)[part.labels]
+        onehot = np.eye(part.k, self.k)[part.labels]
         within = 0.5 * (onehot * (dist @ onehot)).sum(axis=0)
-        fresh = float(np.sort(within / part.sizes).sum())
+        fresh = float(np.sort(within / self.sizes).sum())
         # a rebuild cannot mend NaN or inf; the final check reports them
         if not abs(self.within_value() - fresh) > 1e-9 * abs(fresh):
             return False
@@ -277,18 +284,19 @@ class _LedgerState:
 
     def finish(self):
         part = self.partition
-        if self.full is None:
+        if not self.pairs:
             return part, self.within_value()
-        labels = part.labels
+        dist = self.ledger.dist
+        labels = part.labels.copy()
         if self.held is not None:
-            labels = np.insert(labels, self.held, -1)
-            row = self.full.dist[self.held]
-            cross = [float(row[labels == j].sum()) for j in range(part.k)]
+            # summed afresh: the ledger's row of the held point adds in another order
+            row = dist[self.held]
+            cross = [float(row[labels == j].sum()) for j in range(self.k)]
             labels[self.held] = _relocation_costs(
-                cross, self.ledger.within.tolist(), part.sizes.tolist(), 0.0, 1, -1
+                cross, self.ledger.within.tolist(), self.sizes.tolist(), 0.0, 1, -1
             )[2]
-        final = Partition(labels, part.k)
-        return final, ClusterSumLedger(final, self.full).within_dispersion(final)
+        final = Partition(labels, self.k)
+        return final, ClusterSumLedger(final, dist).within_dispersion(final)
 
 
 def _sweep(state, max_passes, trace):
@@ -318,20 +326,28 @@ def _sweep(state, max_passes, trace):
 # Pairing for second variation
 
 
-def min_distance_pairs(dist) -> list:
+def min_distance_pairs(dist, held=None) -> list:
     """Pair every point with its nearest available neighbor.
 
     Points are scanned in index order; each not-yet-paired point takes the
-    closest point that is still unpaired (ties by lowest index).  Requires an
-    even point count.  Deterministic, O(n^2), and invariant to any strictly
-    increasing transform of the distances (so the exponent alpha does not
-    change the matching).
+    closest point that is still unpaired (ties by lowest index).  A point
+    `held` out is marked paired before the scan, so it is in no pair and
+    never taken; the rest must be an even count, so n is even without a
+    held point and odd with one.  The pairs are those of the matrix with
+    the held point's row and column deleted, in the full matrix's indices.
+    Deterministic, O(n^2), and invariant to any strictly increasing
+    transform of the distances (so the exponent alpha does not change the
+    matching).
     """
     dist = np.asarray(dist)
     n = dist.shape[0]
-    if n % 2:
-        raise InputError("pairing needs an even number of points")
     used = np.zeros(n, dtype=bool)
+    if held is not None:
+        if not 0 <= held < n:
+            raise InputError(f"held-out point {held} outside 0..{n - 1}")
+        used[held] = True
+    if (n - (held is not None)) % 2:
+        raise InputError("pairing needs an even number of points besides the held-out one")
     pairs = []
     for i in range(n):
         if used[i]:
@@ -358,27 +374,23 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def _pair_items(dist) -> list:
+def _pair_items(dist, held=None) -> list:
     # sweep items of second variation: closest pairs with half their distance
-    return [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist)]
+    return [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist, held)]
 
 
 def _pair_state(cache, k, rng, even_items) -> _LedgerState:
-    """Second-variation start: with an odd n one random point sits out and
-    the rest are paired afresh; pairs get random nonempty cluster labels."""
+    """Second-variation start: with an odd n one random point sits out in
+    cluster k and the rest are paired afresh; pairs get random nonempty
+    cluster labels."""
     n = cache.n
     held = int(rng.integers(n)) if n % 2 else None
-    if held is None:
-        active, sub, items = np.arange(n), cache.dist, even_items
-    else:
-        active = np.delete(np.arange(n), held)
-        sub = cache.dist[np.ix_(active, active)]
-        items = _pair_items(sub)
-    labels = np.empty(active.shape[0], dtype=np.intp)
+    items = even_items if held is None else _pair_items(cache.dist, held)
+    labels = np.full(n, k, dtype=np.intp)
     for ((a, b), _), lab in zip(items, _surjective_labels(len(items), k, rng)):
         labels[a] = labels[b] = lab
-    ids = [(int(active[a]), int(active[b])) for (a, b), _ in items]
-    return _LedgerState(sub, Partition(labels, k), items, ids, full=cache, held=held)
+    part = Partition(labels, k + (held is not None))
+    return _LedgerState(cache, part, items, [pts for pts, _ in items], pairs=True, held=held)
 
 
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:

@@ -83,6 +83,99 @@ def hartigan_wong_transfers(x, labels, k, max_passes=50):
     return trace, labels
 
 
+def _weighted_cost(cross, within, nj, spread, m, leaving):
+    # m*nj/(2*(nj -/+ m)) * xi(S, C_j), in the solver's operation order so
+    # that objectives and traces can be compared bit for bit
+    xi = 2.0 * cross / (m * nj) - spread - 2.0 * within / (nj * nj)
+    return m * nj / (2.0 * ((nj - m) if leaving else (nj + m))) * xi
+
+
+def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
+    """Second variation on an odd n with the held-out point cut out of the matrix.
+
+    Each restart draws the held-out point and the pairs' labels from the
+    restart's stream, pairs the (n-1) x (n-1) submatrix without that point,
+    sweeps the pairs over a ledger on the submatrix (rebuilt when its
+    objective drifts from disco's by more than 1e-9 relative), then inserts
+    the point where it costs least and rebuilds the ledger on the full
+    cache.  Only public pieces are used.  Returns the winning restart's
+    labels, objective, passes, moves and (pair, source, target,
+    within_after) trace in full indices, plus every restart's objective.
+    """
+    from kgroups import ClusterSumLedger, DistanceCache, Partition, disco
+    from kgroups import min_distance_pairs, move_point
+
+    cache = DistanceCache(x, alpha)
+    n = cache.n
+    assert n % 2 == 1
+    results = []
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        held = int(rng.integers(n))
+        active = np.delete(np.arange(n), held)
+        sub = cache.dist[np.ix_(active, active)]
+        pairs = min_distance_pairs(sub)
+        if k == len(pairs):
+            pair_labels = rng.permutation(k)
+        else:
+            while True:
+                pair_labels = rng.integers(0, k, size=len(pairs))
+                if np.bincount(pair_labels, minlength=k).min() >= 1:
+                    break
+        labels = np.empty(n - 1, dtype=np.intp)
+        for (a, b), lab in zip(pairs, pair_labels):
+            labels[a] = labels[b] = lab
+        part = Partition(labels, k)
+        ledger = ClusterSumLedger(part, sub)
+        trace = []
+        passes = moves = still = 0
+        while passes < max_passes and still < len(pairs):
+            for a, b in pairs:
+                frm = int(part.labels[a])
+                sizes = part.sizes.tolist()
+                moved = False
+                if sizes[frm] > 2:
+                    cross = (ledger.sums[a] + ledger.sums[b]).tolist()
+                    within = ledger.within.tolist()
+                    spread = float(sub[a, b]) / 2.0
+                    removal = _weighted_cost(cross[frm], within[frm], sizes[frm], spread, 2, True)
+                    best, to = np.inf, -1
+                    for j in range(k):
+                        if j != frm:
+                            cost = _weighted_cost(cross[j], within[j], sizes[j], spread, 2, False)
+                            if cost < best:
+                                best, to = cost, j
+                    if removal > best:
+                        move_point(part, ledger, a, to)
+                        move_point(part, ledger, b, to)
+                        moves += 1
+                        trace.append(((int(active[a]), int(active[b])), frm, to,
+                                      ledger.within_dispersion(part)))
+                        moved = True
+                still = 0 if moved else still + 1
+                if still >= len(pairs):
+                    break
+            passes += 1
+            if still >= len(pairs) or passes == max_passes:
+                fresh = disco(part, sub).within
+                if abs(ledger.within_dispersion(part) - fresh) > 1e-9 * abs(fresh):
+                    ledger = ClusterSumLedger(part, sub)
+                    still = 0
+        full = np.insert(part.labels, held, -1)
+        row = cache.dist[held]
+        within = ledger.within.tolist()
+        sizes = part.sizes.tolist()
+        costs = [_weighted_cost(float(row[full == j].sum()), within[j], sizes[j], 0.0, 1, False)
+                 for j in range(k)]
+        full[held] = int(np.argmin(costs))
+        final = Partition(full, k)
+        w = ClusterSumLedger(final, cache).within_dispersion(final)
+        results.append((w, final.labels, passes, moves, trace))
+    w, labels, passes, moves, trace = min(results, key=lambda res: res[0])
+    return {"labels": labels, "within": w, "passes": passes, "moves": moves,
+            "trace": trace, "per_restart_within": [res[0] for res in results]}
+
+
 def brute_pair_counts(a, b):
     """Pair-agreement counts by direct enumeration over all point pairs."""
     a = np.asarray(a).ravel()

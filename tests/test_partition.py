@@ -117,6 +117,22 @@ class TestLedger:
             move_point(p, ledger, 0, 0)
 
     @given(seed=st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_build_adds_members_in_index_order(self, seed):
+        # bit-equal to a plain running sum: the order fits rely on to be
+        # reproducible, whichever way the build gathers the distances
+        gen = np.random.default_rng(seed)
+        x, labels, k = random_instance(gen, n_lo=5, n_hi=120, p_hi=4, k_hi=8)
+        cache = DistanceCache(x, float(gen.choice([0.5, 1.0, 2.0])))
+        p = Partition(labels, k)
+        ledger = ClusterSumLedger(p, cache)
+        for j in range(k):
+            acc = np.zeros(p.n)
+            for m in p.cluster_indices(j):
+                acc += cache.dist[:, m]
+            assert np.array_equal(ledger.sums[:, j], acc)
+
+    @given(seed=st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_random_move_sequences_match_rebuild(self, seed):
         gen = np.random.default_rng(seed)

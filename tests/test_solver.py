@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgroups
 import kgroups.solver as solver
@@ -21,7 +25,12 @@ from kgroups import (
     mth_variation_delta,
 )
 
-from conftest import brute_within, hartigan_wong_transfers, random_instance
+from conftest import (
+    brute_within,
+    hartigan_wong_transfers,
+    odd_second_variation_reference,
+    random_instance,
+)
 
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
 
@@ -157,6 +166,26 @@ class TestPairing:
         pairs_b = min_distance_pairs(DistanceCache(x, 2.0).dist)
         assert pairs_a == pairs_b
 
+    def test_held_out_point_needs_an_odd_count(self):
+        with pytest.raises(InputError):
+            min_distance_pairs(DistanceCache(np.arange(6.0), 1.0).dist, held=2)
+        with pytest.raises(InputError):
+            min_distance_pairs(DistanceCache(np.arange(5.0), 1.0).dist, held=5)
+
+    @given(seed=st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_held_out_pairing_equals_submatrix_pairing(self, seed):
+        # half-integer values tie many distances, so the lowest-index rule
+        # must survive the shift from submatrix to full indices
+        gen = np.random.default_rng(seed)
+        n = 2 * int(gen.integers(0, 30)) + 1
+        x = np.round(gen.standard_normal((n, int(gen.integers(1, 4)))) * 2) / 2
+        dist = DistanceCache(x, float(gen.choice([0.5, 1.0, 2.0]))).dist
+        held = int(gen.integers(n))
+        active = np.delete(np.arange(n), held)
+        on_sub = min_distance_pairs(dist[np.ix_(active, active)])
+        assert min_distance_pairs(dist, held) == [(int(active[a]), int(active[b])) for a, b in on_sub]
+
     def test_all_infinite_rows_still_pair_each_point_once(self):
         dist = np.full((6, 6), np.inf)
         np.fill_diagonal(dist, 0.0)
@@ -290,6 +319,39 @@ class TestFitSecondVariation:
         result = fit(x, cfg)
         cache = DistanceCache(x, 0.5)
         assert result.within == pytest.approx(disco(result.partition, cache).within, rel=1e-9)
+
+    def test_odd_n_matches_submatrix_reference(self):
+        # the held-out point shares the full cache and ledger; every result
+        # must equal cutting it out of the matrix, k = 2..9 included
+        for s in range(20):
+            gen = np.random.default_rng(700 + s)
+            k = 2 + s % 8
+            n = 2 * int(gen.integers(k, 30)) + 1
+            x = gen.standard_normal((n, int(gen.integers(1, 4)))) * 2
+            if s % 3 == 0:
+                x = np.round(x) / 2
+            alpha = (0.5, 1.0, 2.0)[s % 3]
+            cfg = FitConfig(k=k, alpha=alpha, restarts=3, rng_seed=s, mode="second_variation")
+            got = fit(x, cfg, collect_trace=True)
+            ref = odd_second_variation_reference(x, k, alpha, 3, s)
+            assert np.array_equal(got.partition.labels, ref["labels"])
+            assert got.within == ref["within"]
+            assert got.per_restart_within == ref["per_restart_within"]
+            assert (got.passes, got.moves) == (ref["passes"], ref["moves"])
+            assert got.trace == ref["trace"]
+
+    def test_odd_n_peak_memory_stays_near_the_cache(self):
+        # the held-out point needs no (n-1) x (n-1) copy of the cache
+        n = 801
+        x = np.random.default_rng(5).standard_normal((n, 2))
+        cfg = FitConfig(k=3, alpha=1.0, restarts=2, rng_seed=0, mode="second_variation")
+        tracemalloc.start()
+        try:
+            fit(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(InputError):
@@ -516,3 +578,4 @@ class TestPublicSurface:
         for name in ("fit_first_variation", "fit_second_variation", "fit_kmeans_alpha2",
                      "first_variation_delta"):
             assert not hasattr(kgroups, name)
+        assert not hasattr(solver, "MODES")
