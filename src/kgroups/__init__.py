@@ -6,7 +6,7 @@ solvers (`solver`), validity indices (`indices`), synthetic data
 (`datagen`), and the benchmark harness (`harness`).
 """
 
-from .datagen import Component, LabeledSample, MixtureSpec, cauchy_sample, generate
+from .datagen import Component, LabeledSample, MixtureSpec, generate
 from .energy import (
     DiscoResult,
     DistanceCache,
@@ -42,7 +42,7 @@ from .indices import (
     kappa_index,
     rand_index,
 )
-from .partition import ClusterSumLedger, Partition, contingency, move_point, random_partition
+from .partition import ClusterSumLedger, Partition, move_point, random_partition
 from .solver import (
     FitConfig,
     FitResult,
@@ -75,7 +75,6 @@ __all__ = [
     "ClusterSumLedger",
     "random_partition",
     "move_point",
-    "contingency",
     # solver
     "FitConfig",
     "FitResult",
@@ -96,7 +95,6 @@ __all__ = [
     "MixtureSpec",
     "LabeledSample",
     "generate",
-    "cauchy_sample",
     # harness
     "ALGORITHMS",
     "DESIGNS",

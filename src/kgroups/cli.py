@@ -125,7 +125,7 @@ def _cmd_fit(args) -> int:
     }
     if truth is not None:
         table = ContingencyTable.from_labels(truth, result.partition.labels)
-        payload["indices"] = index_report(table).as_dict()
+        payload["indices"] = asdict(index_report(table))
     (out / "fit.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"within={result.within!r} passes={result.passes} moves={result.moves}")
     if "indices" in payload:
@@ -216,7 +216,7 @@ def _cmd_dermatology(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [{"algorithm": a, **reports[a].as_dict()} for a in algorithms]
+        rows = [{"algorithm": a, **asdict(reports[a])} for a in algorithms]
         (out / "dermatology.json").write_text(
             json.dumps({"rows": rows, "seed": args.seed, "restarts": args.restarts},
                        sort_keys=True, indent=2) + "\n"
@@ -236,7 +236,7 @@ def _cmd_validate(args) -> int:
     table = ContingencyTable.from_labels(truth, pred)
     report = index_report(table)
     if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True))
+        print(json.dumps(asdict(report), sort_keys=True))
     else:
         print("diag,kappa,rand,crand")
         print(f"{report.diag!r},{report.kappa!r},{report.rand!r},{report.crand!r}")

@@ -27,7 +27,6 @@ __all__ = [
     "MixtureSpec",
     "LabeledSample",
     "generate",
-    "cauchy_sample",
 ]
 
 FAMILIES = ("normal", "lognormal", "cauchy", "cubic_uniform")
@@ -126,19 +125,3 @@ def generate(spec: MixtureSpec) -> LabeledSample:
         if rows.size:
             data[rows] = _draw(rng, comp, (rows.size, spec.dim))
     return LabeledSample(data=data, truth=truth.astype(np.intp))
-
-
-def cauchy_sample(location, scale, n, seed) -> np.ndarray:
-    """Cauchy draws via the inverse CDF: location + scale*tan(pi*(u - 1/2)).
-
-    The median of a large sample concentrates at `location`.
-    """
-    scale = float(scale)
-    if scale <= 0:
-        raise InputError(f"cauchy scale must be > 0, got {scale}")
-    n = int(n)
-    if n < 1:
-        raise InputError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    return float(location) + scale * np.tan(np.pi * (u - 0.5))

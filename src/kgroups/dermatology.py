@@ -127,15 +127,13 @@ def run_dermatology(
     algorithms=tuple(m.algorithm for m in FIT_MODES),
     restarts=20,
     seed=0,
-    alpha=1.0,
-    max_passes=50,
 ) -> dict:
-    """Fit each algorithm with k=6 and score it against the disease classes."""
+    """Fit each algorithm with k=6, alpha=1 and score it against the disease classes."""
     k = int(np.max(sample.truth)) + 1
     reports = {}
     for algorithm in algorithms:
         cfg = fit_mode(algorithm=algorithm).config(
-            k=k, alpha=alpha, restarts=restarts, max_passes=max_passes, rng_seed=seed
+            k=k, alpha=1.0, restarts=restarts, rng_seed=seed
         )
         result = fit(sample.data, cfg)
         table = ContingencyTable.from_labels(sample.truth, result.partition.labels)

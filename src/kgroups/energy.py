@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericInvariantError
 
@@ -91,9 +91,10 @@ class DistanceCache:
     """Precomputed symmetric n x n matrix of alpha-powered distances.
 
     Built once per data set and then shared read-only by every statistic and
-    by the solver; the matrix is write-protected after construction.  The
-    diagonal is exactly zero and symmetry is exact by construction (each
-    pair is computed once and mirrored).  Distinct points whose distances
+    by the solver; the matrix is write-protected after construction.  One
+    `cdist` call fills it in place: (i, j) and (j, i) are computed alike, so
+    symmetry is exact, the diagonal is exactly zero, and each entry equals
+    the `pdist` one bit for bit (tested).  Distinct points whose distances
     all underflow to 0.0 raise NumericInvariantError.
     """
 
@@ -102,12 +103,12 @@ class DistanceCache:
         x = as_data_matrix(data)
         self.n = x.shape[0]
         if self.alpha == 2.0:
-            condensed = pdist(x, "sqeuclidean")
+            dist = cdist(x, x, "sqeuclidean")
         else:
-            condensed = pdist(x, "euclidean") ** self.alpha
-        if not condensed.any() and (x != x[0]).any():
+            dist = cdist(x, x, "euclidean")
+            dist **= self.alpha
+        if not dist.any() and (x != x[0]).any():
             raise NumericInvariantError("distances between distinct points all underflow to 0.0")
-        dist = squareform(condensed)
         dist.setflags(write=False)
         self.dist = dist
 

@@ -5,6 +5,7 @@ draws one data set (seed = base_seed + replicate), fits every requested
 algorithm on that same draw, and scores the result against the generating
 labels.  Per-replicate raw scores are always kept alongside the aggregated
 means and standard errors, and emission to CSV/JSON is byte-deterministic.
+`<prefix>.json` is the machine-readable artifact; the library reads no CSV back.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "emit_outputs",
-    "table_from_csv",
-    "records_from_csv",
 ]
 
 ALGORITHMS = tuple(m.algorithm for m in FIT_MODES)
@@ -152,6 +151,12 @@ class ExperimentSpec:
             raise InputError("reps must be at least 1")
         if self.sweep_param == "alpha" and (vals[0] <= 0 or vals[-1] > 2):
             raise InputError("alpha sweep values must lie in (0, 2]")
+        if self.sweep_param == "dim" and any(v < 1 or not v.is_integer() for v in vals):
+            raise InputError(f"dim sweep values must be integers >= 1, got {vals}")
+        if not 1 <= self.k <= self.n:
+            raise InputError(f"k must lie in 1..n = {self.n}, got {self.k}")
+        if "kgroups_second" in algos and self.k > self.n // 2:
+            raise InputError(f"kgroups_second needs k <= n // 2 = {self.n // 2}, got {self.k}")
 
     def meta(self) -> dict:
         d = asdict(self)
@@ -200,8 +205,6 @@ def _mixture_for(spec: ExperimentSpec, value: float, seed: int) -> MixtureSpec:
         separation = value
     elif spec.sweep_param == "dim":
         dim = int(value)
-        if dim != value:
-            raise InputError(f"dim sweep values must be integers, got {value}")
     return design_mixture(
         spec.design, separation=separation, dim=dim, n=spec.n, seed=seed
     )
@@ -230,45 +233,31 @@ def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
             max_passes=spec.max_passes,
             rng_seed=seed,
         )
+        scores = dict.fromkeys(("diag", "kappa", "rand", "crand"))  # None on a failed cell
+        error = ""
         start = time.perf_counter()
         try:
             result = fit(sample.data, cfg)
-            elapsed = time.perf_counter() - start
+            runtime = time.perf_counter() - start
             table = ContingencyTable.from_labels(sample.truth, result.partition.labels)
-            rep = index_report(table)
-            records.append(
-                ReplicateRecord(
-                    sweep_value=value,
-                    replicate=b,
-                    seed=seed,
-                    draw_checksum=checksum,
-                    algorithm=algorithm,
-                    diag=rep.diag,
-                    kappa=rep.kappa,
-                    rand=rep.rand,
-                    crand=rep.crand,
-                    runtime_s=elapsed,
-                )
-            )
+            scores = asdict(index_report(table))
         except NumericInvariantError:
             raise  # a defect, not a failed cell
         except Exception as exc:  # recorded as a missing cell, never dropped
-            records.append(
-                ReplicateRecord(
-                    sweep_value=value,
-                    replicate=b,
-                    seed=seed,
-                    draw_checksum=checksum,
-                    algorithm=algorithm,
-                    diag=None,
-                    kappa=None,
-                    rand=None,
-                    crand=None,
-                    runtime_s=None,
-                    failed=True,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            runtime, error = None, f"{type(exc).__name__}: {exc}"
+        records.append(
+            ReplicateRecord(
+                sweep_value=value,
+                replicate=b,
+                seed=seed,
+                draw_checksum=checksum,
+                algorithm=algorithm,
+                runtime_s=runtime,
+                failed=bool(error),
+                error=error,
+                **scores,
             )
+        )
     return records
 
 
@@ -355,39 +344,6 @@ def _table_csv_text(table: ResultTable) -> str:
     return buf.getvalue()
 
 
-def table_from_csv(text: str) -> ResultTable:
-    """Parse `_table_csv_text` output back into an equal ResultTable.
-
-    The parsed rows have no runtime column (timings are not part of the
-    persistent artifact), which is exactly what ResultTable equality
-    compares.
-    """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#meta="):
-        raise InputError("result-table CSV is missing its #meta header")
-    meta = json.loads(lines[0][len("#meta=") :])
-    reader = csv.reader(lines[1:])
-    header = next(reader)
-    if tuple(header) != TABLE_COLUMNS:
-        raise InputError(f"unexpected result-table columns: {header}")
-    int_cols = {"reps", "failures"}
-    str_cols = {"algorithm"}
-    rows = []
-    for rec in reader:
-        row = {}
-        for name, cell in zip(TABLE_COLUMNS, rec):
-            if name in str_cols:
-                row[name] = cell
-            elif cell == "":
-                row[name] = None
-            elif name in int_cols:
-                row[name] = int(cell)
-            else:
-                row[name] = float(cell)
-        rows.append(row)
-    return ResultTable(meta=meta, rows=rows)
-
-
 def _raw_csv_text(records: list) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -395,38 +351,6 @@ def _raw_csv_text(records: list) -> str:
     for r in records:
         writer.writerow([_cell(getattr(r, c)) for c in RAW_COLUMNS])
     return buf.getvalue()
-
-
-def records_from_csv(text: str) -> list:
-    """Parse `_raw_csv_text` output back into ReplicateRecord objects.
-
-    `runtime_s` is None on parsed records: timings live in the separate
-    timings sidecar, not in the persistent raw-score file.
-    """
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
-    if tuple(header) != RAW_COLUMNS:
-        raise InputError(f"unexpected raw-score columns: {header}")
-    out = []
-    for rec in reader:
-        d = dict(zip(RAW_COLUMNS, rec))
-        out.append(
-            ReplicateRecord(
-                sweep_value=float(d["sweep_value"]),
-                replicate=int(d["replicate"]),
-                seed=int(d["seed"]),
-                draw_checksum=int(d["draw_checksum"]),
-                algorithm=d["algorithm"],
-                diag=None if d["diag"] == "" else float(d["diag"]),
-                kappa=None if d["kappa"] == "" else float(d["kappa"]),
-                rand=None if d["rand"] == "" else float(d["rand"]),
-                crand=None if d["crand"] == "" else float(d["crand"]),
-                runtime_s=None,
-                failed=d["failed"] == "true",
-                error=d["error"],
-            )
-        )
-    return out
 
 
 def _json_text(result: ExperimentResult) -> str:

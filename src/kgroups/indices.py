@@ -44,7 +44,7 @@ class ContingencyTable:
         self.n = int(c.sum())
 
     @classmethod
-    def from_labels(cls, a, b, r=None, c=None) -> "ContingencyTable":
+    def from_labels(cls, a, b) -> "ContingencyTable":
         av = np.asarray(a, dtype=np.intp).ravel()
         bv = np.asarray(b, dtype=np.intp).ravel()
         if av.shape != bv.shape:
@@ -55,9 +55,7 @@ class ContingencyTable:
             raise InputError("label arrays are empty")
         if av.min() < 0 or bv.min() < 0:
             raise InputError("labels must be nonnegative")
-        nr = int(av.max()) + 1 if r is None else int(r)
-        nc = int(bv.max()) + 1 if c is None else int(c)
-        cells = np.zeros((nr, nc), dtype=np.int64)
+        cells = np.zeros((int(av.max()) + 1, int(bv.max()) + 1), dtype=np.int64)
         np.add.at(cells, (av, bv), 1)
         return cls(cells)
 
@@ -162,14 +160,6 @@ class IndexReport:
     kappa: float
     rand: float
     crand: float
-
-    def as_dict(self) -> dict:
-        return {
-            "diag": self.diag,
-            "kappa": self.kappa,
-            "rand": self.rand,
-            "crand": self.crand,
-        }
 
 
 def index_report(table: ContingencyTable) -> IndexReport:

@@ -86,7 +86,7 @@ def read_data_csv(path, truth_last=False):
             vals.append(float(tok))
         if label_col is not None:
             lab = vals.pop(label_col)
-            if lab != int(lab):
+            if not lab.is_integer():  # also NaN and Inf
                 raise InputError(f"{path}: non-integer label {lab} at row {rn}")
             labels.append(int(lab))
         data.append(vals)
@@ -113,7 +113,7 @@ def read_labels_csv(path) -> np.ndarray:
             raise InputError(f"{path} has a header but no labels")
     vals = []
     for rn, tok in enumerate(toks, start=1):
-        if not _is_float(tok) or float(tok) != int(float(tok)):
+        if not _is_float(tok) or not float(tok).is_integer():
             raise InputError(f"{path}: bad label {tok!r} at row {rn}")
         vals.append(int(float(tok)))
     raw = np.asarray(vals, dtype=np.intp)

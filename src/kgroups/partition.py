@@ -13,14 +13,12 @@ import numpy as np
 
 from .energy import _dist_for
 from .errors import InputError, RejectedMoveError
-from .indices import ContingencyTable
 
 __all__ = [
     "Partition",
     "ClusterSumLedger",
     "random_partition",
     "move_point",
-    "contingency",
 ]
 
 
@@ -175,12 +173,3 @@ def move_point(partition: Partition, ledger: ClusterSumLedger, i, to) -> None:
     dcol = ledger.dist[i]
     ledger.sums[:, frm] -= dcol
     ledger.sums[:, to] += dcol
-
-
-def contingency(p1, p2) -> ContingencyTable:
-    """Cross-tabulate two partitions (or plain label arrays) of the same points."""
-    a = np.asarray(getattr(p1, "labels", p1), dtype=np.intp).ravel()
-    b = np.asarray(getattr(p2, "labels", p2), dtype=np.intp).ravel()
-    r = getattr(p1, "k", None)
-    c = getattr(p2, "k", None)
-    return ContingencyTable.from_labels(a, b, r=r, c=c)

@@ -120,6 +120,14 @@ class TestFitCommand:
     def test_bad_k_is_exit_2(self, blob_csv):
         assert main(["fit", "--input", blob_csv, "--k", "0"]) == 2
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_is_exit_2(self, tmp_path, capsys, label):
+        path = write_csv(tmp_path / "d.csv", f"x0,label\n0.0,0\n1.0,{label}\n2.0,1\n")
+        assert main(["fit", "--input", path, "--k", "2"]) == 2
+        assert "row 2" in capsys.readouterr().err
+        headerless = write_csv(tmp_path / "e.csv", f"0.0,0\n1.0,{label}\n")
+        assert main(["fit", "--input", headerless, "--k", "1", "--truth-last"]) == 2
+
 
 class TestBenchCommand:
     def test_flags_run_and_emit(self, tmp_path):
@@ -164,6 +172,17 @@ class TestBenchCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--n", "5", "--k", "10"],
+        ["--n", "5", "--k", "3", "--algorithms", "kgroups_second"],
+        ["--sweep-param", "dim", "--sweep-values", "1,1.5"],
+    ])
+    def test_impossible_spec_exit_2(self, tmp_path, extra):
+        base = ["bench", "--design", "normal", "--sweep-param", "separation",
+                "--sweep-values", "3", "--reps", "2", "--out-dir", str(tmp_path)]
+        assert main(base + extra) == 2
+        assert not tmp_path.joinpath("experiment.json").exists()
+
 
 class TestValidateCommand:
     def test_scores_two_files(self, tmp_path, capsys):
@@ -185,6 +204,14 @@ class TestValidateCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["crand"] == pytest.approx(-0.5)
         assert out["rand"] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_is_exit_2(self, tmp_path, capsys, label):
+        a = write_csv(tmp_path / "a.csv", f"label\n0\n{label}\n")
+        b = tmp_path / "b.csv"
+        write_labels_csv(b, [0, 1])
+        assert main(["validate", "--truth", a, "--pred", str(b)]) == 2
+        assert "row 2" in capsys.readouterr().err
 
 
 class TestDermatologyCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgroups import Component, InputError, MixtureSpec, cauchy_sample, generate
+from kgroups import Component, InputError, MixtureSpec, generate
 
 
 def two_normals(n=200, seed=0, d=3.0):
@@ -120,13 +120,19 @@ class TestGenerate:
         assert np.array_equal(inferred, sample.truth)
 
 
+def cauchy_draws(location, scale, n, seed):
+    # a one-component cauchy mixture: the library's only Cauchy draw
+    comp = Component(1.0, "cauchy", (location, scale))
+    return generate(MixtureSpec(components=(comp,), dim=1, n=n, seed=seed)).data[:, 0]
+
+
 class TestCauchySample:
     def test_median_concentrates_at_location_zero(self):
-        vals = cauchy_sample(0.0, 1.0, 100001, seed=2)
+        vals = cauchy_draws(0.0, 1.0, 100001, seed=2)
         assert abs(float(np.median(vals))) <= 0.03
 
     def test_median_concentrates_at_location_three(self):
-        vals = cauchy_sample(3.0, 1.0, 100001, seed=6)
+        vals = cauchy_draws(3.0, 1.0, 100001, seed=6)
         assert abs(float(np.median(vals)) - 3.0) <= 0.03
 
     def test_midpoint_uniform_maps_to_location(self):
@@ -135,7 +141,7 @@ class TestCauchySample:
 
     def test_scale_must_be_positive(self):
         with pytest.raises(InputError):
-            cauchy_sample(0.0, 0.0, 10, seed=0)
+            Component(1.0, "cauchy", (0.0, 0.0))
 
     def test_deterministic(self):
-        assert np.array_equal(cauchy_sample(1.0, 2.0, 50, 8), cauchy_sample(1.0, 2.0, 50, 8))
+        assert np.array_equal(cauchy_draws(1.0, 2.0, 50, 8), cauchy_draws(1.0, 2.0, 50, 8))

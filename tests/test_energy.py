@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist, squareform
 
 from kgroups import (
     DistanceCache,
@@ -93,6 +96,33 @@ class TestDistanceCache:
         cache = DistanceCache(rng.standard_normal((5, 2)), 1.0)
         with pytest.raises(ValueError):
             cache.dist[0, 1] = 3.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)),
+                 elements=st.integers(-2**20, 2**20).map(lambda v: v / 1024)),
+        scale=st.sampled_from([1e-8, 1.0, 3.7e5]),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_bit_equal_to_condensed_reference(self, x, scale, alpha):
+        # the matrix the cache was built from before: pdist mirrored by squareform
+        x = x * scale
+        if alpha == 2.0:
+            ref = squareform(pdist(x, "sqeuclidean"))
+        else:
+            ref = squareform(pdist(x, "euclidean") ** alpha)
+        assert DistanceCache(x, alpha).dist.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_build_holds_one_matrix(self, alpha):
+        x = np.random.default_rng(5).standard_normal((801, 2))
+        tracemalloc.start()
+        try:
+            cache = DistanceCache(x, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * cache.dist.nbytes
 
 
 class TestDispersion:

@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -7,13 +8,7 @@ import pytest
 
 import kgroups.harness as harness
 from kgroups import ExperimentSpec, InputError, run_experiment, emit_outputs
-from kgroups.harness import (
-    ReplicateRecord,
-    default_alpha,
-    design_mixture,
-    records_from_csv,
-    table_from_csv,
-)
+from kgroups.harness import default_alpha, design_mixture
 
 
 def tiny_spec(**overrides):
@@ -33,6 +28,30 @@ def tiny_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+def raw_dicts(records):
+    return [{c: getattr(r, c) for c in harness.RAW_COLUMNS} for r in records]
+
+
+def assert_csv_matches(lines, columns, expected):
+    """Each CSV cell spells the JSON value of the same column: None as empty, bools lower-case."""
+
+    def same(cell, value):
+        if value is None:
+            return cell == ""
+        if isinstance(value, bool):
+            return cell == ("true" if value else "false")
+        if isinstance(value, float):
+            return float(cell) == value
+        return cell == str(value)
+
+    header, *body = csv.reader(lines)
+    assert tuple(header) == columns
+    assert len(body) == len(expected)
+    for cells, record in zip(body, expected):
+        for name, cell in zip(columns, cells, strict=True):
+            assert same(cell, record[name]), (name, cell, record[name])
+
+
 class TestSpecValidation:
     def test_sweep_must_increase(self):
         with pytest.raises(InputError):
@@ -49,6 +68,22 @@ class TestSpecValidation:
     def test_reps_positive(self):
         with pytest.raises(InputError):
             tiny_spec(reps=0)
+
+    @pytest.mark.parametrize("k", [0, 41])
+    def test_k_must_lie_in_one_to_n(self, k):
+        with pytest.raises(InputError):
+            tiny_spec(n=40, k=k)
+
+    def test_second_variation_needs_k_pairs(self):
+        with pytest.raises(InputError):
+            tiny_spec(algorithms=("kgroups_second",), n=5, k=3)
+        tiny_spec(algorithms=("kgroups_second",), n=6, k=3)
+        tiny_spec(n=5, k=3)  # the single-point modes can fit it
+
+    @pytest.mark.parametrize("values", [(1, 1.5), (0, 1), (1, float("inf"))])
+    def test_dim_sweep_values_must_be_positive_integers(self, values):
+        with pytest.raises(InputError):
+            tiny_spec(sweep_param="dim", sweep_values=values)
 
     def test_alpha_policy(self):
         assert default_alpha("cauchy") == 0.5
@@ -133,7 +168,26 @@ class TestRunExperiment:
         assert len(failed) == 1
         assert "synthetic failure" in failed[0].error
         assert failed[0].crand is None
+        assert all((r.runtime_s is None) == r.failed for r in result.records)
         assert sum(row["failures"] for row in result.table.rows) == 1
+
+    def test_scoring_failure_has_no_runtime(self, monkeypatch):
+        calls = {"count": 0}
+        real_report = harness.index_report
+
+        def flaky_report(table):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise ValueError("synthetic scoring failure")
+            return real_report(table)
+
+        monkeypatch.setattr(harness, "index_report", flaky_report)
+        result = run_experiment(tiny_spec(sweep_values=(3.0,), reps=1))
+        failed = [r for r in result.records if r.failed]
+        assert len(failed) == 1
+        assert failed[0].runtime_s is None
+        assert (failed[0].diag, failed[0].kappa, failed[0].rand, failed[0].crand) == (None,) * 4
+        assert failed[0].error == "ValueError: synthetic scoring failure"
 
     def test_alpha_sweep_drives_kgroups_only(self):
         spec = tiny_spec(
@@ -155,15 +209,20 @@ class TestEmission:
 
     def test_csv_round_trip(self, tmp_path):
         result = run_experiment(tiny_spec())
-        paths = emit_outputs(result, tmp_path, formats=("csv",))
-        parsed = table_from_csv(paths["csv"].read_text())
-        assert parsed == result.table
+        paths = emit_outputs(result, tmp_path, formats=("csv", "json"))
+        payload = json.loads(paths["json"].read_text())
+        assert payload["meta"] == result.table.meta
+        assert payload["rows"] == result.table.rows
+        meta_line, *table_lines = paths["csv"].read_text().splitlines()
+        assert json.loads(meta_line.removeprefix("#meta=")) == payload["meta"]
+        assert_csv_matches(table_lines, harness.TABLE_COLUMNS, payload["rows"])
 
     def test_raw_round_trip(self, tmp_path):
         result = run_experiment(tiny_spec(reps=2))
-        paths = emit_outputs(result, tmp_path, formats=("csv",))
-        parsed = records_from_csv(paths["raw"].read_text())
-        assert parsed == [replace(r, runtime_s=None) for r in result.records]
+        paths = emit_outputs(result, tmp_path, formats=("csv", "json"))
+        payload = json.loads(paths["json"].read_text())
+        assert payload["raw"] == raw_dicts(result.records)
+        assert_csv_matches(paths["raw"].read_text().splitlines(), harness.RAW_COLUMNS, payload["raw"])
 
     def test_json_schema_versioned(self, tmp_path):
         result = run_experiment(tiny_spec(reps=1))
@@ -209,23 +268,25 @@ class TestEmission:
 
 
 class TestRecordParsing:
-    def test_failed_record_round_trips(self):
-        rec = ReplicateRecord(
-            sweep_value=1.0,
-            replicate=0,
-            seed=10,
-            draw_checksum=123,
-            algorithm="kmeans",
-            diag=None,
-            kappa=None,
-            rand=None,
-            crand=None,
-            runtime_s=None,
-            failed=True,
-            error="ValueError: boom",
-        )  # runtime-free record survives the raw round trip exactly
-        text = harness._raw_csv_text([rec])
-        assert records_from_csv(text) == [rec]
+    def test_failed_record_round_trips(self, tmp_path, monkeypatch):
+        real_fit = harness.fit
+
+        def flaky_fit(data, cfg):
+            if cfg.mode == "kmeans_alpha2" and cfg.rng_seed == 11:
+                raise RuntimeError("synthetic failure")
+            return real_fit(data, cfg)
+
+        monkeypatch.setattr(harness, "fit", flaky_fit)
+        result = run_experiment(tiny_spec(reps=2))
+        paths = emit_outputs(result, tmp_path, formats=("csv", "json"))
+        payload = json.loads(paths["json"].read_text())
+        assert payload["raw"] == raw_dicts(result.records)
+        failed = [r for r in payload["raw"] if r["failed"]]
+        assert len(failed) == 2  # kmeans, seed 11, per sweep value
+        for r in failed:
+            assert r["error"] == "RuntimeError: synthetic failure"
+            assert all(r[c] is None for c in ("diag", "kappa", "rand", "crand"))
+        assert_csv_matches(paths["raw"].read_text().splitlines(), harness.RAW_COLUMNS, payload["raw"])
 
 
 def test_invariant_violation_is_raised_not_recorded(monkeypatch):

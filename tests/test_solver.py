@@ -9,6 +9,7 @@ import kgroups
 import kgroups.solver as solver
 from kgroups import (
     ClusterSumLedger,
+    ContingencyTable,
     DistanceCache,
     FitConfig,
     InputError,
@@ -16,7 +17,6 @@ from kgroups import (
     Partition,
     RejectedMoveError,
     adjusted_rand,
-    contingency,
     disco,
     energy_statistic,
     fit,
@@ -200,7 +200,7 @@ class TestFitFirstVariation:
         for seed in range(5):
             cfg = FitConfig(k=2, alpha=1.0, restarts=3, rng_seed=seed)
             result = fit(x, cfg)
-            assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
+            assert adjusted_rand(ContingencyTable.from_labels(truth, result.partition.labels)) == 1.0
 
     def test_objective_never_increases_along_trace(self, rng):
         x, _, _ = random_instance(rng, n_lo=30, n_hi=60)
@@ -274,7 +274,7 @@ class TestFitSecondVariation:
         for seed in range(5):
             cfg = FitConfig(k=2, alpha=1.0, restarts=3, rng_seed=seed, mode="second_variation")
             result = fit(x, cfg)
-            assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
+            assert adjusted_rand(ContingencyTable.from_labels(truth, result.partition.labels)) == 1.0
 
     def test_pair_scores_match_mth_variation_delta(self, rng):
         # the sweep's E1 - E2 equals the m=2 relocation gain
@@ -311,7 +311,7 @@ class TestFitSecondVariation:
         cfg = FitConfig(k=2, alpha=1.0, restarts=4, rng_seed=1, mode="second_variation")
         result = fit(x, cfg)
         assert result.partition.n == 19
-        assert adjusted_rand(contingency(truth, result.partition.labels)) == 1.0
+        assert adjusted_rand(ContingencyTable.from_labels(truth, result.partition.labels)) == 1.0
 
     def test_within_matches_disco(self, rng):
         x, _, _ = random_instance(rng, n_lo=21, n_hi=41)
@@ -579,3 +579,20 @@ class TestPublicSurface:
                      "first_variation_delta"):
             assert not hasattr(kgroups, name)
         assert not hasattr(solver, "MODES")
+
+    def test_second_copies_are_gone(self):
+        import inspect
+
+        import kgroups.datagen as datagen
+        import kgroups.harness as harness
+        import kgroups.partition as partition
+        from kgroups.dermatology import run_dermatology
+
+        gone = ((kgroups, "contingency"), (partition, "contingency"),
+                (kgroups, "cauchy_sample"), (datagen, "cauchy_sample"),
+                (harness, "table_from_csv"), (harness, "records_from_csv"),
+                (kgroups.IndexReport, "as_dict"))
+        for owner, name in gone:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert list(inspect.signature(ContingencyTable.from_labels).parameters) == ["a", "b"]
+        assert not {"alpha", "max_passes"} & set(inspect.signature(run_dermatology).parameters)
