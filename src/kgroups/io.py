@@ -2,13 +2,14 @@
 
 Data CSVs hold numeric columns with an optional header row; a column named
 "label" (any case) is treated as the ground-truth labels.  Missing markers
-("?" or empty cells) are rejected with row/column diagnostics, since the
-clustering input must be complete.
+("?" or empty cells) and non-finite features ("nan", "inf") are rejected
+with row/column diagnostics, since the clustering input must be complete.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,10 @@ def read_data_csv(path, truth_last=False):
                 raise InputError(f"{path}: missing value at row {rn}, column {cn + 1}")
             if not _is_float(tok):
                 raise InputError(f"{path}: non-numeric value {tok!r} at row {rn}, column {cn + 1}")
-            vals.append(float(tok))
+            val = float(tok)
+            if cn != label_col and not math.isfinite(val):
+                raise InputError(f"{path}: non-finite value {tok!r} at row {rn}, column {cn + 1}")
+            vals.append(val)
         if label_col is not None:
             lab = vals.pop(label_col)
             if not lab.is_integer():  # also NaN and Inf

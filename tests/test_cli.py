@@ -128,6 +128,13 @@ class TestFitCommand:
         headerless = write_csv(tmp_path / "e.csv", f"0.0,0\n1.0,{label}\n")
         assert main(["fit", "--input", headerless, "--k", "1", "--truth-last"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", ""])
+    def test_bad_feature_is_exit_2_with_its_data_row(self, tmp_path, capsys, value):
+        # a non-finite feature is numbered like a missing one: data rows from 1
+        path = write_csv(tmp_path / "d.csv", f"x0,x1\n0.0,1.0\n{value},2.0\n3.0,4.0\n")
+        assert main(["fit", "--input", path, "--k", "2"]) == 2
+        assert "row 2, column 1" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_flags_run_and_emit(self, tmp_path):

@@ -540,6 +540,21 @@ class TestMixedScale:
         labels = result.partition.labels
         assert np.array_equal(labels == labels[0], truth == truth[0])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rebuilt_ledgers_match_the_submatrix_reference(self, seed):
+        # two sites 1e8 apart shared by 4-9 clusters: sweeps rebuild drifted
+        # ledgers and then move again, which must use the rebuilt sums
+        g = np.random.default_rng(seed)
+        n, k, p = 2 * int(g.integers(20, 80)) + 1, int(g.integers(4, 10)), int(g.integers(1, 4))
+        x = g.standard_normal((n, p)) * 1e-8 + 1e8 * (np.arange(n) % 2)[:, None]
+        for alpha in (1.0, 2.0):
+            cfg = FitConfig(k=k, alpha=alpha, restarts=3, rng_seed=seed, mode="second_variation")
+            got = fit(x, cfg, collect_trace=True)
+            ref = odd_second_variation_reference(x, k, alpha, 3, seed)
+            assert np.array_equal(got.partition.labels, ref["labels"])
+            assert got.per_restart_within == ref["per_restart_within"]
+            assert (got.passes, got.moves, got.trace) == (ref["passes"], ref["moves"], ref["trace"])
+
     @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
     def test_objective_below_one_is_exact(self, mode):
         # clusters 100 apart with spread 1e-6: the objective is ~2e-10, far
@@ -596,3 +611,118 @@ class TestPublicSurface:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert list(inspect.signature(ContingencyTable.from_labels).parameters) == ["a", "b"]
         assert not {"alpha", "max_passes"} & set(inspect.signature(run_dermatology).parameters)
+
+
+def _fit_record(x, cfg):
+    # everything a fit reports
+    r = fit(x, cfg, collect_trace=True)
+    return (r.partition.labels.tolist(), r.within, r.passes, r.moves,
+            r.per_restart_within, r.trace)
+
+
+def _screen_cases():
+    # half-integers on which the sweep takes a move of exact gain 0 that
+    # rounds positive (restart 2 of seed 30 moves point 6 from cluster 1 to 2)
+    g = np.random.default_rng(1030)
+    g.integers(12, 70), g.integers(1, 4), g.integers(1, 6)
+    yield "zero_gain_tie", np.round(g.standard_normal((32, 1)) * 2) / 2, 4, 30
+    g = np.random.default_rng(7)
+    yield "half_integer", np.round(g.standard_normal((301, 1)) * 2) / 2, 5, 1
+    yield "duplicates", g.standard_normal((12, 2))[g.integers(0, 12, 240)], 9, 2
+    yield "mixed_scale_odd", _far_pair(201, 1e8, 1e-8)[0], 2, 3
+    yield "mixed_scale_even", _far_pair(200, 1e8, 1e-8)[0], 3, 4
+    yield "lognormal_odd", g.lognormal(0.0, 1.0, (401, 2)), 6, 5
+    yield "normal_even", g.standard_normal((300, 3)), 9, 6
+
+
+SCREEN_CASES = list(_screen_cases())
+SCREEN_RUNS = [(m, a) for m in ("first_variation", "second_variation") for a in (0.5, 1.0, 2.0)]
+SCREEN_RUNS.append(("kmeans_alpha2", 2.0))
+
+
+class TestScreen:
+    @pytest.mark.parametrize("name, x, k, seed", SCREEN_CASES, ids=[c[0] for c in SCREEN_CASES])
+    def test_screened_fits_equal_the_plain_sweep(self, name, x, k, seed, monkeypatch):
+        skipped = []
+        screen = solver._LedgerState.screen
+
+        def counted(state, t):
+            c = screen(state, t)
+            skipped.append(c - t)
+            return c
+
+        monkeypatch.setattr(solver._LedgerState, "screen", counted)
+        for mode, alpha in SCREEN_RUNS:
+            cfg = FitConfig(k=k, alpha=alpha, restarts=3, rng_seed=seed, mode=mode)
+            screened = _fit_record(x, cfg)
+            with monkeypatch.context() as plain:
+                plain.setattr(solver, "_SCREEN_AFTER", float("inf"))
+                assert _fit_record(x, cfg) == screened, (mode, alpha)
+        if x.shape[0] > solver._SCREEN_AFTER:
+            assert sum(skipped) > 0
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_screen_returns_the_first_item_the_kernel_keeps(self, pairs):
+        # kept: the kernel's removal cost is >= its best insertion cost, so
+        # every item the screen skips is one the visit rejects
+        rng = np.random.default_rng(41 + pairs)
+        skips = ties = 0
+        for trial in range(24):
+            n = int(rng.integers(20, 90))
+            k = int(rng.integers(2, 7))
+            alpha = float(rng.choice([0.5, 1.0, 2.0]))
+            x = rng.standard_normal((n, 2))
+            if trial % 3 == 1:
+                x = rng.integers(-2, 3, (n, 1)).astype(float)  # exact ties
+            cache = DistanceCache(x, alpha)
+            if pairs:
+                items = solver._pair_items(cache.dist) if n % 2 == 0 else None
+                state = solver._pair_state(cache, k, rng, items)
+            else:
+                part = Partition(rng.permutation(np.arange(n) % k), k)
+                state = solver._LedgerState(cache, part, [((i,), 0.0) for i in range(n)], range(n))
+            # from the start, then nearer convergence, where most items stay
+            for passes in (0, 1, 3):
+                if passes:
+                    solver._sweep(state, passes, None)
+                sums = state.ledger.sums
+                kept = []
+                for pts, spread in state.items:
+                    frm = int(state.partition.labels[pts[0]])
+                    if state.coefs[frm][2] is None:
+                        kept.append(False)
+                        continue
+                    cross = sums[pts[0]] + sums[pts[1]] if pairs else sums[pts[0]]
+                    removal, best, _ = solver._relocation_costs(cross.tolist(), state.coefs, spread, frm)
+                    kept.append(removal >= best)
+                    ties += removal == best
+                n_items = len(kept)
+                for t in range(n_items):
+                    first = next((i for i in range(t, n_items) if kept[i]), n_items)
+                    assert state.screen(t) == first, (trial, passes, t)
+                    skips += first - t
+        assert skips > 0 and ties > 0
+
+
+SCALE_MODES = [("first_variation", 1.0), ("first_variation", 2.0), ("second_variation", 1.0),
+               ("second_variation", 2.0), ("kmeans_alpha2", 2.0)]
+
+
+class TestPowerOfTwoScale:
+    @given(seed=st.integers(0, 10**6), s=st.integers(-30, 40),
+           run=st.sampled_from(SCALE_MODES), n=st.integers(8, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_by_a_power_of_two_scales_the_fit_exactly(self, seed, s, run, n):
+        mode, alpha = run
+        g = np.random.default_rng(seed)
+        k = int(g.integers(1, min(5, n // 2) + 1))
+        x = g.standard_normal((n, int(g.integers(1, 4)))) + 3.0 * g.integers(0, k, (n, 1))
+        cfg = FitConfig(k=k, alpha=alpha, restarts=2, rng_seed=seed, mode=mode)
+        base = fit(x, cfg, collect_trace=True)
+        scaled = fit(x * 2.0**s, cfg, collect_trace=True)
+        factor = 2.0 ** (s * alpha)
+        assert np.array_equal(scaled.partition.labels, base.partition.labels)
+        assert (scaled.passes, scaled.moves) == (base.passes, base.moves)
+        assert scaled.within == base.within * factor
+        assert scaled.per_restart_within == [w * factor for w in base.per_restart_within]
+        assert scaled.trace == [(i, a, b, w * factor) for i, a, b, w in base.trace]
