@@ -28,10 +28,11 @@ from .harness import (
     DESIGNS,
     SWEEP_PARAMS,
     ExperimentSpec,
+    csv_text,
     emit_outputs,
     run_experiment,
 )
-from .indices import ContingencyTable, index_report
+from .indices import INDEX_NAMES, ContingencyTable, index_report
 from .solver import fit, fit_mode
 
 
@@ -129,12 +130,7 @@ def _cmd_fit(args) -> int:
     (out / "fit.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"within={result.within!r} passes={result.passes} moves={result.moves}")
     if "indices" in payload:
-        idx = payload["indices"]
-        print(
-            "diag={diag:.4f} kappa={kappa:.4f} rand={rand:.4f} crand={crand:.4f}".format(
-                **idx
-            )
-        )
+        print(" ".join(f"{name}={value:.4f}" for name, value in payload["indices"].items()))
     print(f"wrote {out / 'labels.csv'} and {out / 'fit.json'}")
     return 0
 
@@ -209,23 +205,18 @@ def _cmd_dermatology(args) -> int:
         sample, algorithms=algorithms, restarts=args.restarts, seed=args.seed
     )
     print(f"n={sample.data.shape[0]} attributes={sample.data.shape[1]} classes={int(sample.truth.max()) + 1}")
-    print("algorithm,diag,kappa,rand,crand")
-    for name in algorithms:
-        r = reports[name]
-        print(f"{name},{r.diag:.4f},{r.kappa:.4f},{r.rand:.4f},{r.crand:.4f}")
+    columns = ("algorithm", *INDEX_NAMES)
+    rows = [{"algorithm": a, **asdict(reports[a])} for a in algorithms]
+    rounded = [{c: v if c == "algorithm" else f"{v:.4f}" for c, v in row.items()} for row in rows]
+    print(csv_text(rounded, columns), end="")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [{"algorithm": a, **asdict(reports[a])} for a in algorithms]
         (out / "dermatology.json").write_text(
             json.dumps({"rows": rows, "seed": args.seed, "restarts": args.restarts},
                        sort_keys=True, indent=2) + "\n"
         )
-        lines = ["algorithm,diag,kappa,rand,crand"] + [
-            f"{a},{reports[a].diag!r},{reports[a].kappa!r},{reports[a].rand!r},{reports[a].crand!r}"
-            for a in algorithms
-        ]
-        (out / "dermatology.csv").write_text("\n".join(lines) + "\n")
+        (out / "dermatology.csv").write_text(csv_text(rows, columns))
         print(f"wrote {out / 'dermatology.csv'} and {out / 'dermatology.json'}")
     return 0
 
@@ -238,8 +229,7 @@ def _cmd_validate(args) -> int:
     if args.json:
         print(json.dumps(asdict(report), sort_keys=True))
     else:
-        print("diag,kappa,rand,crand")
-        print(f"{report.diag!r},{report.kappa!r},{report.rand!r},{report.crand!r}")
+        print(csv_text([asdict(report)], INDEX_NAMES), end="")
     return 0
 
 

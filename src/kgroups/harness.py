@@ -24,7 +24,7 @@ import numpy as np
 from .charts import line_chart_svg
 from .datagen import Component, MixtureSpec, generate
 from .errors import InputError, NumericInvariantError
-from .indices import ContingencyTable, index_report
+from .indices import INDEX_NAMES, ContingencyTable, index_report
 from .solver import FIT_MODES, fit, fit_mode
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "emit_outputs",
+    "csv_text",
 ]
 
 ALGORITHMS = tuple(m.algorithm for m in FIT_MODES)
@@ -49,35 +50,12 @@ SCHEMA_VERSION = 1
 
 # Wall-clock fields are volatile: they live on the in-memory objects and in
 # the timings sidecar, but stay out of the byte-deterministic artifacts.
-TABLE_COLUMNS = (
-    "algorithm",
-    "sweep_value",
-    "reps",
-    "failures",
-    "diag_mean",
-    "diag_se",
-    "kappa_mean",
-    "kappa_se",
-    "rand_mean",
-    "rand_se",
-    "crand_mean",
-    "crand_se",
+TABLE_COLUMNS = ("algorithm", "sweep_value", "reps", "failures") + tuple(
+    f"{name}_{stat}" for name in INDEX_NAMES for stat in ("mean", "se")
 )
-
 RAW_COLUMNS = (
-    "sweep_value",
-    "replicate",
-    "seed",
-    "draw_checksum",
-    "algorithm",
-    "diag",
-    "kappa",
-    "rand",
-    "crand",
-    "failed",
-    "error",
+    "sweep_value", "replicate", "seed", "draw_checksum", "algorithm", *INDEX_NAMES, "failed", "error"
 )
-
 TIMING_COLUMNS = ("sweep_value", "replicate", "algorithm", "runtime_s")
 
 
@@ -233,7 +211,7 @@ def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
             max_passes=spec.max_passes,
             rng_seed=seed,
         )
-        scores = dict.fromkeys(("diag", "kappa", "rand", "crand"))  # None on a failed cell
+        scores = dict.fromkeys(INDEX_NAMES)  # None on a failed cell
         error = ""
         start = time.perf_counter()
         try:
@@ -285,7 +263,7 @@ def _aggregate(spec: ExperimentSpec, records: list) -> ResultTable:
             row = {"algorithm": algorithm, "sweep_value": value}
             row["reps"] = len(cell)
             row["failures"] = len(cell) - len(ok)
-            for name in ("diag", "kappa", "rand", "crand"):
+            for name in INDEX_NAMES:
                 mean, se = _mean_se([getattr(r, name) for r in ok])
                 row[f"{name}_mean"] = mean
                 row[f"{name}_se"] = se
@@ -334,43 +312,27 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _table_csv_text(table: ResultTable) -> str:
+def csv_text(rows, columns, head="") -> str:
+    """CSV text of `rows` (mappings) under a header of `columns`, after `head`.
+
+    A cell spells None as empty, a bool as true/false and a float by its repr.
+    """
     buf = _io.StringIO()
-    buf.write("#meta=" + json.dumps(table.meta, sort_keys=True) + "\n")
+    buf.write(head)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    for row in table.rows:
-        writer.writerow([_cell(row[c]) for c in TABLE_COLUMNS])
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
     return buf.getvalue()
 
 
-def _raw_csv_text(records: list) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RAW_COLUMNS)
-    for r in records:
-        writer.writerow([_cell(getattr(r, c)) for c in RAW_COLUMNS])
-    return buf.getvalue()
-
-
-def _json_text(result: ExperimentResult) -> str:
-    raw = [{k: getattr(r, k) for k in RAW_COLUMNS} for r in result.records]
+def _json_text(result: ExperimentResult, records: list) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "meta": result.table.meta,
         "rows": result.table.rows,
-        "raw": raw,
+        "raw": [{c: r[c] for c in RAW_COLUMNS} for r in records],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _timings_csv_text(result: ExperimentResult) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TIMING_COLUMNS)
-    for r in result.records:
-        writer.writerow([_cell(getattr(r, c)) for c in TIMING_COLUMNS])
-    return buf.getvalue()
 
 
 def _svg_text(result: ExperimentResult) -> str:
@@ -406,25 +368,21 @@ def emit_outputs(result: ExperimentResult, out_dir, formats=("csv", "json", "svg
         raise InputError("at least one output format is required")
     if not result.table.rows:
         raise InputError("refusing to emit an empty result table")
+    records = [asdict(r) for r in result.records]
+    meta_line = "#meta=" + json.dumps(result.table.meta, sort_keys=True) + "\n"
+    # kind: (file name, text); the raw scores and the timings are always written
+    artifacts = {
+        "raw": (f"{prefix}_replicates.csv", lambda: csv_text(records, RAW_COLUMNS)),
+        "timings": (f"{prefix}_timings.csv", lambda: csv_text(records, TIMING_COLUMNS)),
+        "csv": (f"{prefix}_table.csv", lambda: csv_text(result.table.rows, TABLE_COLUMNS, meta_line)),
+        "json": (f"{prefix}.json", lambda: _json_text(result, records)),
+        "svg": (f"{prefix}_crand.svg", lambda: _svg_text(result)),
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
-    raw_path = out / f"{prefix}_replicates.csv"
-    raw_path.write_text(_raw_csv_text(result.records))
-    paths["raw"] = raw_path
-    timings_path = out / f"{prefix}_timings.csv"
-    timings_path.write_text(_timings_csv_text(result))
-    paths["timings"] = timings_path
-    if "csv" in formats:
-        p = out / f"{prefix}_table.csv"
-        p.write_text(_table_csv_text(result.table))
-        paths["csv"] = p
-    if "json" in formats:
-        p = out / f"{prefix}.json"
-        p.write_text(_json_text(result))
-        paths["json"] = p
-    if "svg" in formats:
-        p = out / f"{prefix}_crand.svg"
-        p.write_text(_svg_text(result))
-        paths["svg"] = p
+    for kind, (name, text) in artifacts.items():
+        if kind in ("raw", "timings", *formats):
+            paths[kind] = out / name
+            paths[kind].write_text(text())
     return paths

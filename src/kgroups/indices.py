@@ -9,7 +9,7 @@ invariant to relabeling either partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,6 +19,7 @@ from .errors import InputError
 __all__ = [
     "ContingencyTable",
     "IndexReport",
+    "INDEX_NAMES",
     "rand_index",
     "adjusted_rand",
     "diag_index",
@@ -55,17 +56,16 @@ class ContingencyTable:
             raise InputError("label arrays are empty")
         if av.min() < 0 or bv.min() < 0:
             raise InputError("labels must be nonnegative")
-        cells = np.zeros((int(av.max()) + 1, int(bv.max()) + 1), dtype=np.int64)
-        np.add.at(cells, (av, bv), 1)
-        return cls(cells)
+        r, c = int(av.max()) + 1, int(bv.max()) + 1
+        return cls(np.bincount(av * c + bv, minlength=r * c).reshape(r, c))
 
     def __repr__(self):
         return f"ContingencyTable(shape={self.cells.shape}, n={self.n})"
 
 
 def _comb2(x) -> int:
-    arr = np.asarray(x, dtype=np.int64)
-    return int((arr * (arr - 1) // 2).sum())
+    # Python ints: no numpy overhead on these tiny arrays, and no overflow
+    return sum(v * (v - 1) // 2 for v in np.ravel(x).tolist())
 
 
 def _pair_counts(table: ContingencyTable):
@@ -160,6 +160,10 @@ class IndexReport:
     kappa: float
     rand: float
     crand: float
+
+
+# the index names in report order: the columns of every index table
+INDEX_NAMES = tuple(f.name for f in fields(IndexReport))
 
 
 def index_report(table: ContingencyTable) -> IndexReport:

@@ -10,6 +10,7 @@ keeps a full relocation pass at O(n*k) instead of O(n^2 * k).
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .energy import _dist_for
 from .errors import InputError, RejectedMoveError
@@ -82,18 +83,34 @@ class Partition:
         return f"Partition(n={self.n}, k={self.k}, sizes={self.sizes.tolist()})"
 
 
+# every start that needs fewer draws is the one plain rejection gives
+_REJECTION_DRAWS = 10_000
+
+
 def _surjective_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random labels conditioned on every cluster being nonempty.
 
-    Rejection sampling preserves exact conditional uniformity; the k == n
-    case degenerates to a uniform random permutation.
+    Labels are redrawn until every cluster is hit, which takes k^n / (k! S(n, k))
+    draws on average: over a million at n = 30, k = 25.  After
+    `_REJECTION_DRAWS` failures the cluster sizes are drawn instead, as i.i.d.
+    zero-truncated Poisson counts redrawn until they sum to n, and shuffled
+    onto the points.  Given their sum, the counts weigh sizes c by
+    prod 1/c_j!, as a uniform surjection does, so this is exact too.
     """
     if k == n:
         return rng.permutation(n)
-    while True:
+    for _ in range(_REJECTION_DRAWS):
         lab = rng.integers(0, k, size=n)
         if np.bincount(lab, minlength=k).min() >= 1:
             return lab
+    # the zero-truncated Poisson mean lam / (1 - exp(-lam)) is n / k
+    lam = brentq(lambda t: t / -np.expm1(-t) - n / k, 1e-12, n / k)
+    while True:
+        # the first arrival of a Poisson process on [0, 1) that has one, then the rest
+        first = -np.log1p(rng.random(k) * np.expm1(-lam)) / lam
+        sizes = 1 + rng.poisson(lam * (1.0 - first))
+        if sizes.sum() == n:
+            return rng.permutation(np.repeat(np.arange(k), sizes))
 
 
 def _as_rng(rng_seed) -> np.random.Generator:
@@ -114,6 +131,12 @@ def random_partition(n, k, rng_seed) -> Partition:
     if k > n:
         raise InputError(f"cannot split {n} points into {k} nonempty clusters")
     return Partition(_surjective_labels(n, k, _as_rng(rng_seed)), k)
+
+
+def _dispersion(within, sizes) -> float:
+    """The clustering objective, sum of within[j]/n_j, its terms summed in
+    sorted order so the value is bitwise invariant under relabeling clusters."""
+    return float(np.sort(within / sizes).sum())
 
 
 class ClusterSumLedger:
@@ -159,12 +182,8 @@ class ClusterSumLedger:
         self.within = within
 
     def within_dispersion(self, partition: Partition) -> float:
-        """Current value of the clustering objective (sum of within[j]/n_j).
-
-        Cluster terms are summed in sorted order so the value is bitwise
-        invariant under relabeling the clusters.
-        """
-        return float(np.sort(self.within / partition.sizes).sum())
+        """Current value of the clustering objective (sum of within[j]/n_j)."""
+        return _dispersion(self.within, partition.sizes)
 
 
 def move_point(partition: Partition, ledger: ClusterSumLedger, i, to) -> None:

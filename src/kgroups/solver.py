@@ -40,7 +40,7 @@ more than 32 idle visits.  Like the live set of Hartigan and Wong's AS 136,
 the sweep skips items that cannot move.  Once `_SCREEN_AFTER` visits in a
 row have moved nothing, `_LedgerState.screen` evaluates the kernel's
 costs for whole blocks of the items ahead in numpy, in the same operations
-and order, and the sweep jumps to the first item that might move.  The
+and order, and the sweep jumps to the first item that moves.  The
 skipped items count as idle visits and the scalar visit still decides and
 makes every move, so passes, moves and traces are those of visiting every
 item.  The sweep waits for a streak because a screen costs several visits
@@ -61,6 +61,7 @@ from .errors import InputError, NumericInvariantError, RejectedMoveError
 from .partition import (
     ClusterSumLedger,
     Partition,
+    _dispersion,
     _surjective_labels,
     move_point,
     random_partition,
@@ -312,14 +313,14 @@ class _LedgerState:
         return None
 
     def screen(self, t):
-        """The first item at or after t that `visit` might move, else the item count.
+        """The first item at or after t that `visit` moves, else the item count.
 
         The numpy twin of `visit` over blocks of items: the same operations
         in the same order, so the costs are bit-equal to the visit's.  An
-        item is kept when its removal cost is >= its lowest insertion cost
-        (ties get a visit); fmin skips a NaN cost as the visit's `cost <
-        best` does.  An item whose cluster has n_j <= m gets a NaN removal
-        weight, and never moves.
+        item is kept when its removal cost exceeds its lowest insertion
+        cost, the visit's own rule; fmin skips a NaN cost as the visit's
+        `cost < best` does.  An item whose cluster has n_j <= m gets a NaN
+        removal weight, and never moves.
         """
         n_items = len(self.items)
         mn, wterm, remove_w, insert_w = np.array(self.coefs, dtype=float).T[..., None]
@@ -337,7 +338,7 @@ class _LedgerState:
             removal = remove_w[frm, 0] * xi[frm, cols]
             costs = insert_w * xi
             costs[frm, cols] = np.inf
-            might = removal >= np.fmin.reduce(costs, axis=0)
+            might = removal > np.fmin.reduce(costs, axis=0)
             if might.any():
                 return t + int(np.argmax(might))
             t = end
@@ -345,9 +346,9 @@ class _LedgerState:
         return n_items
 
     def within_value(self) -> float:
-        # sorted like ClusterSumLedger.within_dispersion, over clusters 0..k-1:
-        # a held-out term would regroup numpy's sum once there are 8 or more
-        return float(np.sort(self.ledger.within[: self.k] / self.sizes).sum())
+        # over clusters 0..k-1 only: a held-out term would regroup numpy's
+        # sum once there are 8 or more
+        return _dispersion(self.ledger.within[: self.k], self.sizes)
 
     def reanchor(self) -> bool:
         """Rebuild a ledger whose objective drifted from a fresh one.
@@ -360,7 +361,7 @@ class _LedgerState:
         dist = self.ledger.dist
         onehot = np.eye(part.k, self.k)[part.labels]
         within = 0.5 * (onehot * (dist @ onehot)).sum(axis=0)
-        fresh = float(np.sort(within / self.sizes).sum())
+        fresh = _dispersion(within, self.sizes)
         # a rebuild cannot mend NaN or inf; the final check reports them
         if not abs(self.within_value() - fresh) > 1e-9 * abs(fresh):
             return False
@@ -391,7 +392,7 @@ def _sweep(state, max_passes, trace):
     """Cycle items until one full round of consecutive visits moves nothing.
 
     Once _SCREEN_AFTER visits in a row have moved nothing, `state.screen`
-    jumps to the next item that might move; the items it skips count as
+    jumps to the next item that moves; the items it skips count as
     visits that moved nothing, so the sweep ends in the pass where visiting
     them would end it.
     """

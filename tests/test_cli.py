@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestFitCommand:
         assert code == 0
         assert json.loads((out / "fit.json").read_text())["mode"] == "second_variation"
 
+    def test_prints_the_indices_of_fit_json(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", "--input", blob_csv, "--k", "3", "--out-dir", str(out)]) == 0
+        indices = json.loads((out / "fit.json").read_text())["indices"]
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == " ".join(
+            f"{name}={indices[name]:.4f}" for name in ("diag", "kappa", "rand", "crand")
+        )
+
     def test_mode_choices_are_the_algorithm_names(self):
         (subparsers,) = build_parser()._subparsers._group_actions
         (mode,) = [a for a in subparsers.choices["fit"]._actions if a.dest == "mode"]
@@ -212,6 +222,16 @@ class TestValidateCommand:
         assert out["crand"] == pytest.approx(-0.5)
         assert out["rand"] == pytest.approx(1 / 3)
 
+    def test_plain_output_is_one_csv_row_of_reprs(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_labels_csv(a, [0, 0, 1, 1])
+        write_labels_csv(b, [0, 1, 0, 1])
+        assert main(["validate", "--truth", str(a), "--pred", str(b)]) == 0
+        assert capsys.readouterr().out == (
+            "diag,kappa,rand,crand\n0.5,0.0,0.3333333333333333,-0.49999999999999994\n"
+        )
+
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
     def test_non_finite_label_is_exit_2(self, tmp_path, capsys, label):
         a = write_csv(tmp_path / "a.csv", f"label\n0\n{label}\n")
@@ -240,6 +260,36 @@ class TestDermatologyCommand:
         assert (out / "dermatology.csv").exists()
         text = capsys.readouterr().out
         assert "kmeans" in text
+
+    def test_report_rows_and_files(self, tmp_path, capsys):
+        from test_dermatology import make_fixture
+
+        from kgroups.dermatology import load_dermatology, run_dermatology
+
+        f = make_fixture(tmp_path / "derm.data", n_rows=60, n_missing_age=1)
+        out = tmp_path / "rep"
+        algorithms = ["kmeans", "kgroups_first"]
+        code = main([
+            "dermatology", "--path", str(f), "--algorithms", ",".join(algorithms),
+            "--restarts", "2", "--seed", "4", "--out-dir", str(out),
+        ])
+        assert code == 0
+        reports = run_dermatology(load_dermatology(f), algorithms=algorithms, restarts=2, seed=4)
+        names = ("diag", "kappa", "rand", "crand")
+        header = "algorithm," + ",".join(names)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1:4] == [header] + [
+            a + "".join(f",{getattr(reports[a], c):.4f}" for c in names) for a in algorithms
+        ]
+        payload = json.loads((out / "dermatology.json").read_text())
+        assert payload == {
+            "rows": [{"algorithm": a, **asdict(reports[a])} for a in algorithms],
+            "seed": 4,
+            "restarts": 2,
+        }
+        assert (out / "dermatology.csv").read_text().splitlines() == [header] + [
+            a + "".join(f",{getattr(reports[a], c)!r}" for c in names) for a in algorithms
+        ]
 
 
 class TestConsoleScript:

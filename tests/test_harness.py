@@ -207,6 +207,19 @@ class TestEmission:
         for kind in ("csv", "json", "raw"):
             assert paths1[kind].read_bytes() == paths2[kind].read_bytes()
 
+    def test_artifacts_match_across_worker_counts(self, tmp_path):
+        spec = tiny_spec()
+        one = emit_outputs(run_experiment(spec), tmp_path / "one")
+        two = emit_outputs(run_experiment(spec, workers=2), tmp_path / "two")
+        assert sorted(one) == sorted(two) == ["csv", "json", "raw", "svg", "timings"]
+        for kind in ("csv", "json", "raw", "svg"):
+            assert one[kind].read_bytes() == two[kind].read_bytes(), kind
+
+        def without_runtime(path):  # the timings sidecar's last column is wall-clock
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert without_runtime(one["timings"]) == without_runtime(two["timings"])
+
     def test_csv_round_trip(self, tmp_path):
         result = run_experiment(tiny_spec())
         paths = emit_outputs(result, tmp_path, formats=("csv", "json"))

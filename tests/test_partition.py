@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+
+import kgroups.partition as kpartition
 
 from kgroups import (
     ClusterSumLedger,
@@ -63,6 +68,26 @@ class TestRandomPartition:
         # Monte-Carlo over 1000 seeds: E[size of cluster 0] = 100 for n=200, k=2
         sizes = [random_partition(200, 2, seed).sizes[0] for seed in range(1000)]
         assert abs(float(np.mean(sizes)) - 100.0) <= 5.0
+
+    @pytest.mark.parametrize("n, k", [(30, 29), (200, 100), (2001, 1990)])
+    def test_k_close_to_n_falls_back_to_block_sizes(self, n, k):
+        # plain rejection would need ~1e10, ~5e7 and far more draws here
+        p = random_partition(n, k, 3)
+        assert p.sizes.min() >= 1
+
+    def test_block_size_fallback_is_uniform_over_surjections(self, monkeypatch):
+        monkeypatch.setattr(kpartition, "_REJECTION_DRAWS", 0)
+        rng = np.random.default_rng(7)
+        draws = 9000
+        counts = Counter(
+            tuple(kpartition._surjective_labels(5, 3, rng).tolist()) for _ in range(draws)
+        )
+        # all 150 surjections of 5 points onto 3 labels, and nothing else
+        assert len(counts) == 150
+        assert all(len(set(labels)) == 3 for labels in counts)
+        expected = draws / 150
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert stats.chi2.sf(chi2, 149) > 1e-3
 
 
 def _rebuilt(ledger, partition, cache):

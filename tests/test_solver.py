@@ -513,6 +513,20 @@ class TestFitDriver:
         with pytest.raises(InputError):
             fit(x, cfg, init_labels=np.arange(20) % 2)
 
+    @pytest.mark.parametrize("k", range(24, 30))
+    def test_k_close_to_n_finishes(self, k):
+        # uniform random starts by plain rejection would take over 1e6 draws
+        x = np.random.default_rng(0).standard_normal((30, 1))
+        result = fit(x, FitConfig(k=k, restarts=1))
+        assert result.partition.sizes.min() >= 1
+
+    def test_second_variation_with_k_close_to_the_pair_count_finishes(self):
+        # 30 pairs and a held-out point in 29 nonempty clusters
+        x = np.random.default_rng(1).standard_normal((61, 2))
+        result = fit(x, FitConfig(k=29, restarts=2, mode="second_variation"))
+        assert result.partition.k == 29
+        assert result.partition.sizes.min() >= 1
+
 
 def _far_pair(n, sep, spread, seed=0):
     rng = np.random.default_rng(seed)
@@ -663,8 +677,9 @@ class TestScreen:
 
     @pytest.mark.parametrize("pairs", [False, True])
     def test_screen_returns_the_first_item_the_kernel_keeps(self, pairs):
-        # kept: the kernel's removal cost is >= its best insertion cost, so
-        # every item the screen skips is one the visit rejects
+        # kept: the kernel's removal cost is > its best insertion cost, the
+        # visit's own rule, so the screen stops at exactly the item the visit
+        # moves; exact ties (counted) are skipped
         rng = np.random.default_rng(41 + pairs)
         skips = ties = 0
         for trial in range(24):
@@ -694,7 +709,7 @@ class TestScreen:
                         continue
                     cross = sums[pts[0]] + sums[pts[1]] if pairs else sums[pts[0]]
                     removal, best, _ = solver._relocation_costs(cross.tolist(), state.coefs, spread, frm)
-                    kept.append(removal >= best)
+                    kept.append(removal > best)
                     ties += removal == best
                 n_items = len(kept)
                 for t in range(n_items):
