@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import io as kio
 from .dermatology import (
+    DERMATOLOGY_URL,
     find_dermatology,
     fetch_dermatology,
     load_dermatology,
@@ -33,44 +34,52 @@ from .harness import (
     run_experiment,
 )
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import fit, fit_mode
+from .solver import FitConfig, fit, fit_mode
 
 
 def _add_fit(sub):
-    p = sub.add_parser("fit", help="cluster a numeric CSV file")
+    # a FitConfig flag left out takes the FitConfig default
+    p = sub.add_parser("fit", help="cluster a numeric CSV file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True, help="input CSV (optional header)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--alpha", type=float, default=1.0, help="distance exponent in (0,2]")
-    p.add_argument("--mode", choices=ALGORITHMS, default="kgroups_first")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-passes", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth-last", action="store_true",
+    p.add_argument("--alpha", type=float, help="distance exponent in (0,2]")
+    p.add_argument("--mode", choices=ALGORITHMS,
+                   default=fit_mode(mode=FitConfig.mode).algorithm)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-passes", type=int)
+    p.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED")
+    p.add_argument("--truth-last", action="store_true", default=False,
                    help="treat the last column as ground-truth labels")
     p.add_argument("--out-dir", default="kgroups_out")
 
 
 def _add_bench(sub):
-    p = sub.add_parser("bench", help="run a replicated mixture benchmark")
-    p.add_argument("--spec", help="experiment spec file (JSON; TOML on Python 3.11+)")
+    # a flag left out takes the default of the ExperimentSpec field,
+    # run_experiment or emit_outputs parameter it names
+    p = sub.add_parser("bench", help="run a replicated mixture benchmark",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--spec", default=None,
+                   help="experiment spec file (JSON; TOML on Python 3.11+); "
+                        "excludes the flags that set spec fields")
     p.add_argument("--design", choices=DESIGNS)
     p.add_argument("--sweep-param", choices=SWEEP_PARAMS)
-    p.add_argument("--sweep-values", help="comma-separated, strictly increasing")
-    p.add_argument("--algorithms", default=",".join(ALGORITHMS))
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="k-groups exponent (default: design policy)")
-    p.add_argument("--separation", type=float, default=3.0)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-passes", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--sweep-values", type=_parse_list,
+                   help="comma-separated, strictly increasing")
+    p.add_argument("--algorithms", type=_parse_list)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED")
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--alpha", type=float, help="k-groups exponent (default: design policy)")
+    p.add_argument("--separation", type=float)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--max-passes", type=int)
+    p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", default="kgroups_out")
-    p.add_argument("--prefix", default="experiment")
-    p.add_argument("--format", default="csv,json,svg",
+    p.add_argument("--prefix")
+    p.add_argument("--format", type=_parse_list, dest="formats", metavar="FORMAT",
                    help="comma-separated subset of csv,json,svg")
 
 
@@ -78,9 +87,9 @@ def _add_dermatology(sub):
     p = sub.add_parser("dermatology", help="run the dermatology case study")
     p.add_argument("--path", help="local dermatology.data file")
     p.add_argument("--fetch", action="store_true", help="download the file first")
-    p.add_argument("--url", default=None)
+    p.add_argument("--url", default=DERMATOLOGY_URL)
     p.add_argument("--sha256", default=None, help="expected content hash")
-    p.add_argument("--algorithms", default=",".join(ALGORITHMS))
+    p.add_argument("--algorithms", type=_parse_list, default=ALGORITHMS)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None, help="also write a CSV/JSON report here")
@@ -93,22 +102,22 @@ def _add_validate(sub):
     p.add_argument("--json", action="store_true", help="emit one JSON object")
 
 
-def _parse_list(text, cast=str):
+def _parse_list(text) -> list:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise InputError(f"empty list argument: {text!r}")
-    return [cast(t) for t in items]
+    return items
+
+
+def _given(args, names) -> dict:
+    """The parsed flags among `names`; a flag left out is absent."""
+    return {name: value for name, value in vars(args).items() if name in names}
 
 
 def _cmd_fit(args) -> int:
     x, truth = kio.read_data_csv(args.input, truth_last=args.truth_last)
-    cfg = fit_mode(algorithm=args.mode).config(
-        k=args.k,
-        alpha=args.alpha,
-        restarts=args.restarts,
-        max_passes=args.max_passes,
-        rng_seed=args.seed,
-    )
+    settings = _given(args, {f.name for f in fields(FitConfig)})
+    cfg = fit_mode(algorithm=settings.pop("mode")).config(**settings)
     result = fit(x, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,51 +146,35 @@ def _cmd_fit(args) -> int:
 
 def _load_spec_file(path) -> dict:
     text = Path(path).read_bytes()
-    if str(path).endswith(".toml"):
+    toml = str(path).endswith(".toml")
+    if toml:
         try:
             import tomllib
         except ModuleNotFoundError as exc:
             raise InputError(
                 "TOML spec files need Python 3.11+; use JSON on this interpreter"
             ) from exc
-        return tomllib.loads(text.decode())
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+        raw = tomllib.loads(text.decode()) if toml else json.loads(text)
+    except ValueError as exc:  # also UnicodeDecodeError and tomllib.TOMLDecodeError
+        raise InputError(f"{path}: not valid {'TOML' if toml else 'JSON'} ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a table/object at top level")
+    return raw
 
 
 def _cmd_bench(args) -> int:
+    settings = _given(args, {f.name for f in fields(ExperimentSpec)})
     if args.spec:
-        raw = _load_spec_file(args.spec)
-        if not isinstance(raw, dict):
-            raise InputError(f"{args.spec}: expected a table/object at top level")
-        raw.setdefault("algorithms", tuple(ALGORITHMS))
-        try:
-            spec = ExperimentSpec(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in raw.items()})
-        except TypeError as exc:
-            raise InputError(f"{args.spec}: {exc}") from exc
-    else:
-        if not (args.design and args.sweep_param and args.sweep_values):
-            raise InputError("bench needs --spec or all of --design/--sweep-param/--sweep-values")
-        spec = ExperimentSpec(
-            design=args.design,
-            sweep_param=args.sweep_param,
-            sweep_values=tuple(_parse_list(args.sweep_values, float)),
-            algorithms=tuple(_parse_list(args.algorithms)),
-            reps=args.reps,
-            base_seed=args.seed,
-            n=args.n,
-            k=args.k,
-            alpha=args.alpha,
-            separation=args.separation,
-            dim=args.dim,
-            restarts=args.restarts,
-            max_passes=args.max_passes,
-        )
-    formats = tuple(_parse_list(args.format))
-    result = run_experiment(spec, workers=max(1, args.workers))
-    paths = emit_outputs(result, args.out_dir, formats=formats, prefix=args.prefix)
+        if settings:
+            raise InputError(f"--spec excludes the spec flags; got {', '.join(settings)}")
+        settings = _load_spec_file(args.spec)
+    try:
+        spec = ExperimentSpec(**settings)
+    except (TypeError, ValueError) as exc:  # a missing, unknown or mistyped field
+        raise InputError(f"{args.spec or 'bench'}: {exc}") from exc
+    result = run_experiment(spec, **_given(args, {"workers"}))
+    paths = emit_outputs(result, args.out_dir, **_given(args, {"formats", "prefix"}))
     for kind in sorted(paths):
         print(f"{kind}: {paths[kind]}")
     return 0
@@ -191,8 +184,7 @@ def _cmd_dermatology(args) -> int:
     path = Path(args.path) if args.path else find_dermatology()
     if args.fetch:
         dest = path if path is not None else Path("data/dermatology.data")
-        kwargs = {"url": args.url} if args.url else {}
-        path = fetch_dermatology(dest, **kwargs)
+        path = fetch_dermatology(dest, url=args.url)
         print(f"fetched {path}")
     if path is None or not Path(path).is_file():
         raise IngestionError(
@@ -200,13 +192,12 @@ def _cmd_dermatology(args) -> int:
             "KGROUPS_DERMATOLOGY_DATA, or use --fetch"
         )
     sample = load_dermatology(path, expected_sha256=args.sha256)
-    algorithms = _parse_list(args.algorithms)
     reports = run_dermatology(
-        sample, algorithms=algorithms, restarts=args.restarts, seed=args.seed
+        sample, algorithms=args.algorithms, restarts=args.restarts, seed=args.seed
     )
     print(f"n={sample.data.shape[0]} attributes={sample.data.shape[1]} classes={int(sample.truth.max()) + 1}")
     columns = ("algorithm", *INDEX_NAMES)
-    rows = [{"algorithm": a, **asdict(reports[a])} for a in algorithms]
+    rows = [{"algorithm": a, **asdict(reports[a])} for a in args.algorithms]
     rounded = [{c: v if c == "algorithm" else f"{v:.4f}" for c, v in row.items()} for row in rows]
     print(csv_text(rounded, columns), end="")
     if args.out_dir:
@@ -255,8 +246,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # list flags raise InputError
         return _COMMANDS[args.command](args)
     except NumericInvariantError as exc:
         print(f"numeric invariant violation: {exc}", file=sys.stderr)

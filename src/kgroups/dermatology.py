@@ -20,7 +20,7 @@ import numpy as np
 from .datagen import LabeledSample
 from .errors import IngestionError
 from .indices import ContingencyTable, index_report
-from .solver import FIT_MODES, fit, fit_mode
+from .solver import fit, fit_mode
 
 __all__ = [
     "DERMATOLOGY_URL",
@@ -59,10 +59,15 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
                 f"{path}: sha256 {digest} does not match expected {expected_sha256}"
             )
 
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
+
     rows = []
     classes = []
     kept = 0
-    for ln, line in enumerate(raw.decode("utf-8", errors="strict").splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -122,12 +127,7 @@ def find_dermatology() -> Path | None:
     return None
 
 
-def run_dermatology(
-    sample: LabeledSample,
-    algorithms=tuple(m.algorithm for m in FIT_MODES),
-    restarts=20,
-    seed=0,
-) -> dict:
+def run_dermatology(sample: LabeledSample, algorithms, restarts, seed) -> dict:
     """Fit each algorithm with k=6, alpha=1 and score it against the disease classes."""
     k = int(np.max(sample.truth)) + 1
     reports = {}

@@ -4,6 +4,14 @@ The CLI maps these onto exit codes: InputError -> 2, IngestionError -> 3,
 NumericInvariantError -> 4.
 """
 
+__all__ = [
+    "KGroupsError",
+    "InputError",
+    "RejectedMoveError",
+    "IngestionError",
+    "NumericInvariantError",
+]
+
 
 class KGroupsError(Exception):
     """Base class for all errors raised by this package."""

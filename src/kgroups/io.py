@@ -36,8 +36,8 @@ def _is_float(tok: str) -> bool:
 
 def _read_rows(path) -> list:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:

@@ -86,9 +86,11 @@ class FitMode(NamedTuple):
     algorithm: str  # harness, dermatology and `kgroups fit --mode` name
     alpha2: bool  # the exponent is fixed at 2
 
-    def config(self, alpha, **settings) -> FitConfig:
-        """A FitConfig for this mode; `alpha` is overridden when fixed at 2."""
-        return FitConfig(alpha=2.0 if self.alpha2 else alpha, mode=self.mode, **settings)
+    def config(self, **settings) -> FitConfig:
+        """A FitConfig for this mode; `alpha` is set to 2 when fixed there."""
+        if self.alpha2:
+            settings["alpha"] = 2.0
+        return FitConfig(mode=self.mode, **settings)
 
 
 FIT_MODES = (

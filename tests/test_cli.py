@@ -319,3 +319,136 @@ class TestBenchDefect:
         ])
         assert code == 4
         assert not (tmp_path / "bench").exists()
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The FitConfig or ExperimentSpec the CLI builds; the command stops there."""
+    import kgroups.cli as cli
+    from kgroups import InputError
+
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise InputError("captured")
+
+    monkeypatch.setattr(cli, "fit", lambda data, cfg: capture(cfg))
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, **run: capture(spec))
+    return seen
+
+
+class TestSettingsByFieldName:
+    @pytest.mark.parametrize("flags, expected", [
+        ([], {}),
+        (["--alpha", "0.5", "--mode", "kgroups_second", "--restarts", "4",
+          "--max-passes", "7", "--seed", "9"],
+         {"alpha": 0.5, "mode": "second_variation", "restarts": 4, "max_passes": 7,
+          "rng_seed": 9}),
+        (["--mode", "kmeans", "--alpha", "0.5"], {"alpha": 2.0, "mode": "kmeans_alpha2"}),
+    ])
+    def test_fit_flags_fill_fit_config(self, blob_csv, captured, flags, expected):
+        from kgroups import FitConfig
+
+        assert main(["fit", "--input", blob_csv, "--k", "2", *flags]) == 2
+        assert captured == [FitConfig(k=2, **expected)]
+
+    def test_bench_flags_left_out_take_the_spec_defaults(self, captured):
+        from kgroups import ExperimentSpec
+
+        argv = ["bench", "--design", "normal", "--sweep-param", "separation",
+                "--sweep-values", "3"]
+        assert main(argv) == 2
+        assert captured == [ExperimentSpec("normal", "separation", (3.0,))]
+
+    def test_every_bench_spec_flag_fills_its_field(self, captured):
+        from kgroups import ExperimentSpec
+
+        argv = ["bench", "--design", "cauchy", "--sweep-param", "alpha",
+                "--sweep-values", "0.5,1", "--algorithms", "kmeans,kgroups_first",
+                "--reps", "3", "--seed", "7", "--n", "30", "--k", "3", "--alpha", "0.7",
+                "--separation", "4", "--dim", "2", "--restarts", "2", "--max-passes", "20"]
+        assert main(argv) == 2
+        assert captured == [ExperimentSpec(
+            design="cauchy", sweep_param="alpha", sweep_values=(0.5, 1.0),
+            algorithms=("kmeans", "kgroups_first"), reps=3, base_seed=7, n=30, k=3,
+            alpha=0.7, separation=4.0, dim=2, restarts=2, max_passes=20,
+        )]
+
+    def test_toml_json_and_flags_build_equal_specs(self, tmp_path, captured):
+        pytest.importorskip("tomllib")
+        spec = {"design": "lognormal", "sweep_param": "dim", "sweep_values": [1, 3],
+                "algorithms": ["kgroups_second"], "reps": 4, "base_seed": 2, "n": 50}
+        toml = tmp_path / "spec.toml"
+        toml.write_text(
+            'design = "lognormal"\nsweep_param = "dim"\nsweep_values = [1, 3]\n'
+            'algorithms = ["kgroups_second"]\nreps = 4\nbase_seed = 2\nn = 50\n'
+        )
+        js = tmp_path / "spec.json"
+        js.write_text(json.dumps(spec))
+        flags = ["--design", "lognormal", "--sweep-param", "dim", "--sweep-values", "1,3",
+                 "--algorithms", "kgroups_second", "--reps", "4", "--seed", "2", "--n", "50"]
+        for argv in (["--spec", str(toml)], ["--spec", str(js)], flags):
+            assert main(["bench", *argv]) == 2
+        assert len(captured) == 3
+        assert captured[0] == captured[1] == captured[2]
+        assert captured[0].sweep_values == (1.0, 3.0)
+
+    @pytest.mark.parametrize("flag", [
+        ["--reps", "3"], ["--n", "40"], ["--seed", "1"], ["--algorithms", "kmeans"],
+        ["--design", "normal"],
+    ])
+    def test_spec_file_excludes_spec_flags(self, tmp_path, capsys, flag):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "design": "normal", "sweep_param": "separation", "sweep_values": [2.0],
+            "reps": 2, "n": 20, "restarts": 1,
+        }))
+        out = tmp_path / "bench"
+        code = main(["bench", "--spec", str(spec_path), *flag, "--out-dir", str(out),
+                     "--workers", "1", "--prefix", "p", "--format", "csv"])
+        assert code == 2
+        assert "--spec excludes the spec flags" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv, code, kind", [
+        ("fit --k 2 --input {bad}.csv", 2, "input"),
+        ("validate --pred {labels} --truth {bad}.csv", 2, "input"),
+        ("dermatology --path {bad}.data", 3, "ingestion"),
+        ("bench --spec {bad}.json", 2, "input"),
+        pytest.param("bench --spec {bad}.toml", 2, "input", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="TOML spec files need Python 3.11+")),
+        pytest.param("bench --spec {malformed}.toml", 2, "input", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="TOML spec files need Python 3.11+")),
+    ])
+    def test_undecodable_file_is_a_reported_error(self, tmp_path, capsys, argv, code, kind):
+        for suffix in (".csv", ".data", ".json", ".toml"):
+            (tmp_path / f"bad{suffix}").write_bytes(b"label\n\x80\x81\xfe\n")
+        (tmp_path / "malformed.toml").write_text('design = "normal\nreps = [\n')
+        labels = tmp_path / "labels.csv"
+        write_labels_csv(labels, [0, 1])
+        paths = {"bad": tmp_path / "bad", "malformed": tmp_path / "malformed", "labels": labels}
+        assert main(argv.format(**paths).split()) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{kind} error: ")
+        assert "Traceback" not in err
+
+
+class TestPublicNames:
+    MODULES = ("datagen", "energy", "errors", "harness", "indices", "partition", "solver")
+
+    def test_package_reexports_each_module_all(self):
+        import importlib
+
+        import kgroups
+
+        names = {"__version__"}
+        for module in self.MODULES:
+            names |= set(importlib.import_module(f"kgroups.{module}").__all__)
+        assert set(kgroups.__all__) == names
+        assert len(kgroups.__all__) == len(names)
+        namespace = {}
+        exec("from kgroups import *", namespace)
+        assert set(namespace) - {"__builtins__"} == names
