@@ -16,20 +16,22 @@ _MARGIN_L = 64
 _MARGIN_R = 120
 _MARGIN_T = 40
 _MARGIN_B = 48
+_WIDTH, _HEIGHT = 720, 480
+_TICKS = 5
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi == lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
-def line_chart_svg(series, *, title="", x_label="", y_label="", width=720, height=480) -> str:
+def line_chart_svg(series, *, title="", x_label="", y_label="") -> str:
     """Render (name, xs, ys) triples as an SVG line chart string.
 
     Series must be nonempty and every series must contain at least one
@@ -52,8 +54,8 @@ def line_chart_svg(series, *, title="", x_label="", y_label="", width=720, heigh
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
@@ -63,13 +65,13 @@ def line_chart_svg(series, *, title="", x_label="", y_label="", width=720, heigh
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
 
@@ -97,7 +99,7 @@ def line_chart_svg(series, *, title="", x_label="", y_label="", width=720, heigh
         )
     if x_label:
         out.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{x_label}</text>'
         )
     if y_label:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int_fields
 
 __all__ = [
     "FAMILIES",
@@ -73,6 +73,7 @@ class MixtureSpec:
     seed: int
 
     def __post_init__(self):
+        check_int_fields(self, "dim", "n", seed="seed")
         comps = tuple(self.components)
         if not comps:
             raise InputError("mixture needs at least one component")

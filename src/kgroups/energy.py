@@ -23,11 +23,9 @@ from .errors import InputError, NumericInvariantError
 __all__ = [
     "validate_alpha",
     "as_data_matrix",
-    "alpha_distance",
     "DistanceCache",
     "dispersion",
     "energy_statistic",
-    "weighted_energy_statistic",
     "DiscoResult",
     "disco",
 ]
@@ -63,28 +61,6 @@ def as_data_matrix(data) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
         raise InputError(f"data contains NaN or Inf (first bad row: {bad})")
     return x
-
-
-def alpha_distance(x, y, alpha) -> float:
-    """Euclidean distance between two points raised to the power alpha.
-
-    Exactly 0.0 when x == y; the zero-distance case is short-circuited so no
-    log or fractional power of zero is ever evaluated.
-    """
-    a = validate_alpha(alpha)
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.shape != yv.shape:
-        raise InputError(
-            f"dimension mismatch: x has {xv.size} coordinates, y has {yv.size}"
-        )
-    diff = xv - yv
-    d2 = float(np.dot(diff, diff))
-    if d2 == 0.0:
-        return 0.0
-    if a == 2.0:
-        return d2
-    return float(np.sqrt(d2) ** a)
 
 
 class DistanceCache:
@@ -169,14 +145,6 @@ def energy_statistic(a, b, cache) -> float:
     if (ai.size, ai.tolist()) > (bi.size, bi.tolist()):
         g_a, g_b = g_b, g_a
     return 2.0 * dispersion(ai, bi, cache) - g_a - g_b
-
-
-def weighted_energy_statistic(a, b, cache) -> float:
-    """Energy statistic scaled by n1*n2/(n1+n2), the test-statistic weighting."""
-    ai = _index_set(a, _dist_for(cache).shape[0], "a")
-    bi = _index_set(b, _dist_for(cache).shape[0], "b")
-    n1, n2 = ai.size, bi.size
-    return (n1 * n2 / (n1 + n2)) * energy_statistic(ai, bi, cache)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import line_chart_svg
 from .datagen import Component, MixtureSpec, generate
-from .errors import InputError, NumericInvariantError
+from .errors import InputError, NumericInvariantError, check_int_fields
 from .indices import INDEX_NAMES, ContingencyTable, index_report
 from .solver import FIT_MODES, fit, fit_mode
 
@@ -106,6 +106,7 @@ class ExperimentSpec:
     max_passes: int = 50
 
     def __post_init__(self):
+        check_int_fields(self, "reps", "n", "k", "dim", "restarts", "max_passes", seed="base_seed")
         if self.design not in DESIGNS:
             raise InputError(f"unknown design {self.design!r}")
         if self.sweep_param not in SWEEP_PARAMS:

@@ -39,6 +39,8 @@ class ContingencyTable:
             raise InputError("contingency table must be a nonempty 2-D array")
         if c.min() < 0:
             raise InputError("contingency counts must be nonnegative")
+        if not c.any():
+            raise InputError("contingency table holds no points")
         self.cells = c
         self.row_sums = c.sum(axis=1)
         self.col_sums = c.sum(axis=0)
@@ -141,8 +143,6 @@ def kappa_index(table: ContingencyTable) -> float:
     """
     padded, rows, cols = _matched_pairs(table)
     n = table.n
-    if n < 1:
-        raise InputError("kappa needs a populated table")
     p_o = float(padded[rows, cols].sum() / n)
     row_tot = padded.sum(axis=1)
     col_tot = padded.sum(axis=0)

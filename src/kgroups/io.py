@@ -20,7 +20,6 @@ __all__ = [
     "read_data_csv",
     "read_labels_csv",
     "write_labels_csv",
-    "write_sample_csv",
 ]
 
 _MISSING = ("", "?")
@@ -129,13 +128,3 @@ def write_labels_csv(path, labels) -> None:
     lines = ["label"] + [str(int(v)) for v in np.asarray(labels).ravel()]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def write_sample_csv(path, sample) -> None:
-    """Write a generated sample as feature columns plus a trailing label column."""
-    x = np.asarray(sample.data)
-    truth = np.asarray(sample.truth)
-    header = [f"x{j}" for j in range(x.shape[1])] + ["label"]
-    lines = [",".join(header)]
-    for row, lab in zip(x, truth):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{int(lab)}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -57,9 +57,6 @@ class Partition:
     def cluster_indices(self, j) -> np.ndarray:
         return np.flatnonzero(self.labels == j)
 
-    def copy(self) -> "Partition":
-        return Partition(self.labels, self.k)
-
     def _apply_move(self, i: int, to: int) -> int:
         """Relabel point i, keeping sizes consistent.  Returns the old label.
 
@@ -113,12 +110,6 @@ def _surjective_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
             return rng.permutation(np.repeat(np.arange(k), sizes))
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def random_partition(n, k, rng_seed) -> Partition:
     """Random initial partition of n points into k nonempty clusters.
 
@@ -130,7 +121,7 @@ def random_partition(n, k, rng_seed) -> Partition:
         raise InputError("n and k must be positive")
     if k > n:
         raise InputError(f"cannot split {n} points into {k} nonempty clusters")
-    return Partition(_surjective_labels(n, k, _as_rng(rng_seed)), k)
+    return Partition(_surjective_labels(n, k, np.random.default_rng(rng_seed)), k)
 
 
 def _dispersion(within, sizes) -> float:

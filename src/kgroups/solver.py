@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import DistanceCache, as_data_matrix, disco, validate_alpha
-from .errors import InputError, NumericInvariantError, RejectedMoveError
+from .errors import InputError, NumericInvariantError, RejectedMoveError, check_int_fields
 from .partition import (
     ClusterSumLedger,
     Partition,
@@ -73,7 +73,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "mth_variation_delta",
-    "move_points",
     "min_distance_pairs",
     "fit",
 ]
@@ -122,6 +121,7 @@ class FitConfig:
     mode: str = "first_variation"
 
     def __post_init__(self):
+        check_int_fields(self, "k", "restarts", "max_passes", seed="rng_seed")
         if self.k < 1:
             raise InputError("k must be at least 1")
         validate_alpha(self.alpha)
@@ -129,8 +129,6 @@ class FitConfig:
             raise InputError("restarts must be at least 1")
         if self.max_passes < 1:
             raise InputError("max_passes must be at least 1")
-        if int(self.rng_seed) < 0:
-            raise InputError("rng_seed must be a nonnegative integer")
         if fit_mode(mode=self.mode).alpha2 and self.alpha != 2.0:
             raise InputError(f"{self.mode} requires alpha=2")
 
@@ -196,8 +194,12 @@ def _relocation_costs(cross, coefs, spread, frm):
     return removal, best, best_j
 
 
-def _checked_point_set(partition, points):
-    # the points of a legal joint move: distinct, in one cluster, not all of it
+def mth_variation_delta(partition, ledger, points, to) -> float:
+    """Exact objective change from moving a set of m points together.
+
+    Positive means the move lowers the within-cluster dispersion.  Raises
+    RejectedMoveError when the move would empty the source cluster.
+    """
     pts = np.asarray(points, dtype=np.intp).ravel()
     if pts.size == 0:
         raise InputError("point set is empty")
@@ -210,16 +212,6 @@ def _checked_point_set(partition, points):
         raise InputError("all moved points must share one source cluster")
     if int(partition.sizes[frm]) <= pts.size:
         raise RejectedMoveError(f"moving {pts.size} points would empty cluster {frm}")
-    return pts, frm
-
-
-def mth_variation_delta(partition, ledger, points, to) -> float:
-    """Exact objective change from moving a set of m points together.
-
-    Positive means the move lowers the within-cluster dispersion.  Raises
-    RejectedMoveError when the move would empty the source cluster.
-    """
-    pts, frm = _checked_point_set(partition, points)
     to = int(to)
     if to == frm:
         raise InputError("target cluster equals the source cluster")
@@ -232,13 +224,6 @@ def mth_variation_delta(partition, ledger, points, to) -> float:
     coefs = [_cluster_coef(int(partition.sizes[j]), float(ledger.within[j]), m) for j in both]
     removal, insertion, _ = _relocation_costs(cross, coefs, spread, 0)
     return removal - insertion
-
-
-def move_points(partition, ledger, points, to) -> None:
-    """Apply a joint move of several same-cluster points (ledger maintained)."""
-    pts, _ = _checked_point_set(partition, points)
-    for i in pts:
-        move_point(partition, ledger, int(i), int(to))
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ class TestIo:
         assert read_labels_csv(p).tolist() == [2, 0, 1, 1]
 
     def test_sample_export_round_trips_with_truth_column(self, tmp_path):
-        from kgroups import Component, MixtureSpec, generate
-        from kgroups.io import write_sample_csv
+        from kgroups import Component, MixtureSpec, csv_text, generate
 
         spec = MixtureSpec(
             components=(
@@ -72,7 +71,10 @@ class TestIo:
         )
         sample = generate(spec)
         p = tmp_path / "sample.csv"
-        write_sample_csv(p, sample)
+        columns = [f"x{j}" for j in range(3)] + ["label"]
+        rows = [dict(zip(columns, [*row.tolist(), int(lab)]))
+                for row, lab in zip(sample.data, sample.truth)]
+        p.write_text(csv_text(rows, columns))
         x, truth = read_data_csv(p)
         assert np.array_equal(x, sample.data)
         assert np.array_equal(truth, sample.truth)
@@ -193,12 +195,25 @@ class TestBenchCommand:
         ["--n", "5", "--k", "10"],
         ["--n", "5", "--k", "3", "--algorithms", "kgroups_second"],
         ["--sweep-param", "dim", "--sweep-values", "1,1.5"],
+        ["--seed", "-1"],
     ])
     def test_impossible_spec_exit_2(self, tmp_path, extra):
         base = ["bench", "--design", "normal", "--sweep-param", "separation",
                 "--sweep-values", "3", "--reps", "2", "--out-dir", str(tmp_path)]
         assert main(base + extra) == 2
         assert not tmp_path.joinpath("experiment.json").exists()
+
+
+    @pytest.mark.parametrize("settings", [
+        {"base_seed": -1}, {"n": 20.5}, {"k": True}, {"reps": 1.5},
+    ])
+    def test_ill_typed_spec_exit_2(self, tmp_path, capsys, settings):
+        spec = {"design": "normal", "sweep_param": "separation", "sweep_values": [3],
+                "reps": 1, "n": 20, **settings}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["bench", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 2
+        assert f"{next(iter(settings))} must be a" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,11 +10,9 @@ from scipy.spatial.distance import pdist, squareform
 from kgroups import (
     DistanceCache,
     InputError,
-    alpha_distance,
     disco,
     dispersion,
     energy_statistic,
-    weighted_energy_statistic,
 )
 from kgroups.energy import as_data_matrix, validate_alpha
 
@@ -23,23 +20,7 @@ from conftest import brute_powered_distance, brute_within, random_instance
 
 
 class TestAlphaDistance:
-    def test_one_dimensional(self):
-        assert alpha_distance([0.0], [2.0], 1.0) == 2.0
-
-    def test_squared_norm(self):
-        assert alpha_distance([3.0, 4.0], [0.0, 0.0], 2.0) == 25.0
-
-    def test_fractional_power(self):
-        # oracle: exp(0.5 * ln 4) = 2
-        expected = math.exp(0.5 * math.log(4.0))
-        assert alpha_distance([0.0], [4.0], 0.5) == pytest.approx(expected, rel=1e-15)
-
-    def test_zero_for_identical_points(self):
-        assert alpha_distance([1.3, -2.0], [1.3, -2.0], 0.7) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            alpha_distance([0.0], [1.0, 2.0], 1.0)
+    """The distance exponent alpha: `validate_alpha` admits exactly (0, 2]."""
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, 2.5, float("nan")])
     def test_invalid_alpha(self, bad):
@@ -76,7 +57,7 @@ class TestDistanceCache:
         cache = DistanceCache(x, alpha)
         for _ in range(60):
             i, j = rng.integers(25, size=2)
-            expected = alpha_distance(x[i], x[j], alpha)
+            expected = brute_powered_distance(x[i], x[j], alpha)
             assert cache.dist[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_symmetric_zero_diagonal_nonnegative(self, rng):
@@ -189,25 +170,6 @@ class TestEnergyStatistic:
         x = np.array([[0.0], [2.0], [5.0], [0.0], [2.0], [5.0]])
         cache = DistanceCache(x, 1.0)
         assert abs(energy_statistic([0, 1, 2], [3, 4, 5], cache)) <= 1e-12
-
-
-class TestWeightedStatistic:
-    def test_singletons_at_distance_two(self):
-        cache = DistanceCache([[0.0], [2.0]], 1.0)
-        assert weighted_energy_statistic([0], [1], cache) == pytest.approx(2.0)
-
-    def test_identical_multisets(self):
-        x = np.array([[1.0, 0.0], [4.0, 2.0], [1.0, 0.0], [4.0, 2.0]])
-        cache = DistanceCache(x, 1.0)
-        assert abs(weighted_energy_statistic([0, 1], [2, 3], cache)) <= 1e-12
-
-    def test_weight_scaling(self, rng):
-        # equal-size sets: weight is n/2 times the raw statistic
-        x = rng.standard_normal((16, 2))
-        cache = DistanceCache(x, 1.0)
-        a, b = np.arange(8), np.arange(8, 16)
-        xi = energy_statistic(a, b, cache)
-        assert weighted_energy_statistic(a, b, cache) == pytest.approx(8 / 2 * xi, rel=1e-12)
 
 
 class TestDisco:

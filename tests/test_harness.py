@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 import kgroups.harness as harness
-from kgroups import ExperimentSpec, InputError, run_experiment, emit_outputs
+from kgroups import (
+    Component,
+    ExperimentSpec,
+    FitConfig,
+    InputError,
+    MixtureSpec,
+    emit_outputs,
+    run_experiment,
+)
 from kgroups.harness import default_alpha, design_mixture
 
 
@@ -84,6 +92,31 @@ class TestSpecValidation:
     def test_dim_sweep_values_must_be_positive_integers(self, values):
         with pytest.raises(InputError):
             tiny_spec(sweep_param="dim", sweep_values=values)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: FitConfig(k=2.5), "k"),
+        (lambda: FitConfig(k=True), "k"),
+        (lambda: FitConfig(k="2"), "k"),
+        (lambda: FitConfig(k=2, restarts=1.5), "restarts"),
+        (lambda: FitConfig(k=2, max_passes=2.5), "max_passes"),
+        (lambda: FitConfig(k=2, rng_seed=1.5), "rng_seed"),
+        (lambda: FitConfig(k=2, rng_seed=-1), "rng_seed"),
+        (lambda: MixtureSpec((Component(1.0, "normal", (0, 1)),), dim=1, n=5, seed=-1), "seed"),
+        (lambda: MixtureSpec((Component(1.0, "normal", (0, 1)),), dim=1, n=5.5, seed=0), "n"),
+        (lambda: MixtureSpec((Component(1.0, "normal", (0, 1)),), dim=True, n=5, seed=0), "dim"),
+        (lambda: tiny_spec(n=20.5), "n"),
+        (lambda: tiny_spec(k=True), "k"),
+        (lambda: tiny_spec(reps=1.5), "reps"),
+        (lambda: tiny_spec(base_seed=-1), "base_seed"),
+        (lambda: tiny_spec(restarts=2.0), "restarts"),
+    ])
+    def test_ill_typed_integer_fields_raise_input_error(self, build, field):
+        with pytest.raises(InputError, match=f"^{field} must be a"):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        cfg = FitConfig(k=np.int64(2), rng_seed=np.uint32(7))
+        assert (cfg.k, cfg.rng_seed) == (2, 7)
 
     def test_alpha_policy(self):
         assert default_alpha("cauchy") == 0.5

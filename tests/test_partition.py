@@ -37,12 +37,6 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition([0, 1, 3], k=3)
 
-    def test_copy_is_independent(self):
-        p = Partition([0, 0, 1, 1])
-        q = p.copy()
-        q.labels[0] = 1
-        assert p.labels[0] == 0
-
 
 class TestRandomPartition:
     def test_n_equals_k_gives_singletons(self):
@@ -205,3 +199,8 @@ class TestContingency:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             ContingencyTable.from_labels(np.array([0, 1]), np.array([0, 1, 1]))
+
+    def test_table_without_points_rejected(self):
+        # every index divides by n; a zero table is rejected when it is built
+        with pytest.raises(InputError, match="no points"):
+            ContingencyTable([[0, 0]])

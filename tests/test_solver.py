@@ -21,7 +21,7 @@ from kgroups import (
     energy_statistic,
     fit,
     min_distance_pairs,
-    move_points,
+    move_point,
     mth_variation_delta,
 )
 
@@ -123,9 +123,11 @@ class TestMthVariationDelta:
         pts = p.cluster_indices(frm)[:2]
         to = int((frm + 1) % k)
         d_out = mth_variation_delta(p, ledger, pts, to)
-        move_points(p, ledger, pts, to)
+        for i in pts:
+            move_point(p, ledger, i, to)
         d_back = mth_variation_delta(p, ledger, pts, frm)
-        move_points(p, ledger, pts, frm)
+        for i in pts:
+            move_point(p, ledger, i, frm)
         assert d_out + d_back == pytest.approx(0.0, abs=1e-10)
 
     def test_emptying_source_rejected(self):
@@ -625,6 +627,22 @@ class TestPublicSurface:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert list(inspect.signature(ContingencyTable.from_labels).parameters) == ["a", "b"]
         assert not {"alpha", "max_passes"} & set(inspect.signature(run_dermatology).parameters)
+
+    def test_uncalled_names_are_gone(self):
+        import inspect
+
+        import kgroups.energy as energy
+        import kgroups.io as kio
+        import kgroups.partition as partition
+        from kgroups.charts import line_chart_svg
+
+        gone = ((kgroups, "alpha_distance"), (energy, "alpha_distance"),
+                (kgroups, "weighted_energy_statistic"), (energy, "weighted_energy_statistic"),
+                (kgroups, "move_points"), (solver, "move_points"),
+                (kio, "write_sample_csv"), (Partition, "copy"), (partition, "_as_rng"))
+        for owner, name in gone:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
 
 
 def _fit_record(x, cfg):
