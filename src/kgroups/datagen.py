@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_int_fields
+from .errors import InputError, check_fields
 
 __all__ = [
     "FAMILIES",
@@ -45,6 +45,7 @@ class Component:
     params: tuple
 
     def __post_init__(self):
+        check_fields(vars(self), ("weight",))
         if not self.weight > 0:
             raise InputError(f"component weight must be positive, got {self.weight}")
         if self.family not in FAMILIES:
@@ -73,7 +74,7 @@ class MixtureSpec:
     seed: int
 
     def __post_init__(self):
-        check_int_fields(self, "dim", "n", seed="seed")
+        check_fields(vars(self), dim=1, n=1, seed=0)
         comps = tuple(self.components)
         if not comps:
             raise InputError("mixture needs at least one component")
@@ -81,10 +82,6 @@ class MixtureSpec:
         total = sum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"component weights must sum to 1, got {total}")
-        if self.dim < 1:
-            raise InputError("dim must be at least 1")
-        if self.n < 1:
-            raise InputError("n must be at least 1")
 
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the integer check of settings records.
+"""Exception types shared across the package, and the field check of settings records.
 
 The CLI maps these onto exit codes: InputError -> 2, IngestionError -> 3,
 NumericInvariantError -> 4.
 """
 
+import math
 import operator
 
 __all__ = [
@@ -37,13 +38,17 @@ class NumericInvariantError(KGroupsError):
     from its from-scratch recomputation)."""
 
 
-def check_int_fields(record, *names, seed):
-    """Raise InputError unless the named fields hold integers, not bools, and `seed` one >= 0."""
-    for name, kind in [(name, "an") for name in names] + [(seed, "a nonnegative")]:
-        value = getattr(record, name)
+def check_fields(fields, reals=(), **least):
+    """Raise InputError unless each field named in `least` holds an integer of at
+    least its bound and each one in `reals` a finite real number, neither a bool.
+
+    `fields` maps names to values, e.g. vars(record)."""
+    for name, low in [*least.items(), *((name, None) for name in reals)]:
+        value = fields[name]
         try:
-            ok = not isinstance(value, bool) and (operator.index(value) >= 0 or name != seed)
-        except TypeError:
+            ok = math.isfinite(value) if low is None else operator.index(value) >= low
+        except (TypeError, OverflowError):
             ok = False
-        if not ok:
-            raise InputError(f"{name} must be {kind} integer, got {value!r}")
+        if not ok or isinstance(value, bool):
+            kind = "a finite number" if low is None else f"an integer >= {low}"
+            raise InputError(f"{name} must be {kind}, got {value!r}")

@@ -23,7 +23,8 @@ import numpy as np
 
 from .charts import line_chart_svg
 from .datagen import Component, MixtureSpec, generate
-from .errors import InputError, NumericInvariantError, check_int_fields
+from .energy import validate_alpha
+from .errors import InputError, NumericInvariantError, check_fields
 from .indices import INDEX_NAMES, ContingencyTable, index_report
 from .solver import FIT_MODES, fit, fit_mode
 
@@ -75,16 +76,10 @@ def design_mixture(design, *, separation=3.0, dim=1, n=200, seed=0) -> MixtureSp
     if design not in DESIGNS:
         raise InputError(f"unknown design {design!r}, expected one of {DESIGNS}")
     if design == "cubic":
-        comps = (
-            Component(0.5, "cubic_uniform", (0.0, 1.0)),
-            Component(0.5, "cubic_uniform", (0.3, 0.7)),
-        )
-        return MixtureSpec(components=comps, dim=int(dim), n=int(n), seed=int(seed))
-    comps = (
-        Component(0.5, design, (0.0, 1.0)),
-        Component(0.5, design, (float(separation), 1.0)),
-    )
-    return MixtureSpec(components=comps, dim=int(dim), n=int(n), seed=int(seed))
+        comps = (Component(0.5, "cubic_uniform", (0.0, 1.0)), Component(0.5, "cubic_uniform", (0.3, 0.7)))
+    else:
+        comps = (Component(0.5, design, (0.0, 1.0)), Component(0.5, design, (separation, 1.0)))
+    return MixtureSpec(components=comps, dim=dim, n=n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -106,12 +101,15 @@ class ExperimentSpec:
     max_passes: int = 50
 
     def __post_init__(self):
-        check_int_fields(self, "reps", "n", "k", "dim", "restarts", "max_passes", seed="base_seed")
+        reals = ("separation",) if self.alpha is None else ("separation", "alpha")
+        check_fields(vars(self), reals, reps=1, n=1, k=1, dim=1, restarts=1, max_passes=1, base_seed=0)
         if self.design not in DESIGNS:
             raise InputError(f"unknown design {self.design!r}")
         if self.sweep_param not in SWEEP_PARAMS:
             raise InputError(f"unknown sweep parameter {self.sweep_param!r}")
-        vals = tuple(float(v) for v in self.sweep_values)
+        vals = tuple(float(v) for v in self.sweep_values)  # the CLI passes strings
+        for v in vals:
+            check_fields({"sweep_values": v}, ("sweep_values",))
         if not vals:
             raise InputError("sweep_values must be nonempty")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -126,13 +124,12 @@ class ExperimentSpec:
         if len(set(algos)) != len(algos):
             raise InputError("algorithms must be unique")
         object.__setattr__(self, "algorithms", algos)
-        if self.reps < 1:
-            raise InputError("reps must be at least 1")
-        if self.sweep_param == "alpha" and (vals[0] <= 0 or vals[-1] > 2):
-            raise InputError("alpha sweep values must lie in (0, 2]")
+        alphas = vals if self.sweep_param == "alpha" else ()
+        for a in alphas if self.alpha is None else (*alphas, self.alpha):
+            validate_alpha(a)
         if self.sweep_param == "dim" and any(v < 1 or not v.is_integer() for v in vals):
             raise InputError(f"dim sweep values must be integers >= 1, got {vals}")
-        if not 1 <= self.k <= self.n:
+        if self.k > self.n:
             raise InputError(f"k must lie in 1..n = {self.n}, got {self.k}")
         if "kgroups_second" in algos and self.k > self.n // 2:
             raise InputError(f"kgroups_second needs k <= n // 2 = {self.n // 2}, got {self.k}")

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .energy import _dist_for
-from .errors import InputError, RejectedMoveError
+from .errors import InputError, RejectedMoveError, check_fields
 
 __all__ = [
     "Partition",
@@ -39,8 +39,10 @@ class Partition:
             raise InputError("partition needs at least one point")
         if lab.min() < 0:
             raise InputError("cluster labels must be nonnegative")
+        if k is not None:
+            check_fields({"k": k}, k=1)
         kk = int(lab.max()) + 1 if k is None else int(k)
-        if kk < 1 or lab.max() >= kk:
+        if lab.max() >= kk:
             raise InputError(f"labels exceed cluster count k={kk}")
         sizes = np.bincount(lab, minlength=kk)
         if sizes.min() < 1:
@@ -116,9 +118,8 @@ def random_partition(n, k, rng_seed) -> Partition:
     Deterministic for a fixed integer seed; also accepts an existing
     numpy Generator for callers that manage their own streams.
     """
+    check_fields({"n": n, "k": k}, n=1, k=1)
     n, k = int(n), int(k)
-    if n < 1 or k < 1:
-        raise InputError("n and k must be positive")
     if k > n:
         raise InputError(f"cannot split {n} points into {k} nonempty clusters")
     return Partition(_surjective_labels(n, k, np.random.default_rng(rng_seed)), k)

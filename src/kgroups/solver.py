@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import DistanceCache, as_data_matrix, disco, validate_alpha
-from .errors import InputError, NumericInvariantError, RejectedMoveError, check_int_fields
+from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields
 from .partition import (
     ClusterSumLedger,
     Partition,
@@ -121,14 +121,8 @@ class FitConfig:
     mode: str = "first_variation"
 
     def __post_init__(self):
-        check_int_fields(self, "k", "restarts", "max_passes", seed="rng_seed")
-        if self.k < 1:
-            raise InputError("k must be at least 1")
+        check_fields(vars(self), ("alpha",), k=1, restarts=1, max_passes=1, rng_seed=0)
         validate_alpha(self.alpha)
-        if self.restarts < 1:
-            raise InputError("restarts must be at least 1")
-        if self.max_passes < 1:
-            raise InputError("max_passes must be at least 1")
         if fit_mode(mode=self.mode).alpha2 and self.alpha != 2.0:
             raise InputError(f"{self.mode} requires alpha=2")
 
@@ -137,7 +131,7 @@ class FitConfig:
 class FitResult:
     """Outcome of a fit: best partition over restarts plus run metadata.
 
-    `within` is the converged objective of the winning restart and must agree
+    `within` is the final objective of the winning restart and must agree
     with a from-scratch recomputation to 1e-9 relative.  `trace`, when
     requested, holds one (item, source, target, within_after) entry per
     accepted relocation of the winning restart.

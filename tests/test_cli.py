@@ -216,6 +216,28 @@ class TestBenchCommand:
         assert f"{next(iter(settings))} must be a" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("settings, field", [
+        ({"sweep_param": "alpha", "sweep_values": [0.5, 1], "alpha": "abc"}, "alpha"),
+        ({"separation": "x"}, "separation"),
+        ({"alpha": True}, "alpha"),
+        ({"sweep_values": [1, float("nan")]}, "sweep_values"),
+        ({"restarts": 0}, "restarts"),
+        ({"dim": 0}, "dim"),
+    ])
+    def test_bad_spec_field_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, settings, field):
+        import kgroups.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "fit", lambda *a, **kw: calls.append(a))
+        spec = {"design": "normal", "sweep_param": "separation", "sweep_values": [3],
+                "reps": 1, "n": 20, **settings}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["bench", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 2
+        assert f"input error: {field} " in capsys.readouterr().err
+        assert calls == []
+
+
 class TestValidateCommand:
     def test_scores_two_files(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

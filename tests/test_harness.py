@@ -1,7 +1,8 @@
 import csv
 import json
+import typing
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kgroups import (
     run_experiment,
 )
 from kgroups.harness import default_alpha, design_mixture
+from kgroups.partition import Partition, random_partition
 
 
 def tiny_spec(**overrides):
@@ -113,6 +115,39 @@ class TestSpecValidation:
     def test_ill_typed_integer_fields_raise_input_error(self, build, field):
         with pytest.raises(InputError, match=f"^{field} must be a"):
             build()
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: design_mixture("normal", dim=2.5), "dim"),
+        (lambda: design_mixture("normal", n=20.7), "n"),
+        (lambda: random_partition(10, 2.5, 0), "k"),
+        (lambda: Partition([0, 1, 1], 2.9), "k"),
+    ])
+    def test_counts_are_not_truncated(self, build, field):
+        with pytest.raises(InputError, match=f"^{field} must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("cls, base", [
+        (FitConfig, dict(k=2)),
+        (ExperimentSpec, dict(design="normal", sweep_param="separation", sweep_values=(3.0,), n=20)),
+        (MixtureSpec, dict(components=(Component(1.0, "normal", (0, 1)),), dim=1, n=5, seed=0)),
+        (Component, dict(weight=1.0, family="normal", params=(0, 1))),
+    ])
+    def test_every_number_field_is_checked(self, cls, base):
+        # read from the annotations, so a number field added later is covered too
+        hints = typing.get_type_hints(cls)
+        checked = 0
+        for f in fields(cls):
+            if hints[f.name] is int:
+                bad = [1.5, True, "2", -1 if "seed" in f.name else 0]
+            elif hints[f.name] in (float, float | None):
+                bad = ["abc", True, float("nan"), float("inf")]
+            else:
+                continue
+            checked += 1
+            for value in bad:
+                with pytest.raises(InputError, match=f"^{f.name} "):
+                    cls(**{**base, f.name: value})
+        assert checked
 
     def test_numpy_integers_are_integers(self):
         cfg = FitConfig(k=np.int64(2), rng_seed=np.uint32(7))
