@@ -236,36 +236,54 @@ _SCREEN_AFTER = 32
 _SCREEN_BLOCK = 128
 
 
+class _Items(NamedTuple):
+    """A sweep's items: (points, spread) tuples for `visit`, the ids its
+    trace records and, for `screen`, the (items, m) points and the spreads
+    as arrays.  Built once per item list, not once per restart."""
+
+    items: list
+    ids: list
+    points: np.ndarray
+    spreads: np.ndarray
+
+
+def _sweep_items(items, ids) -> _Items:
+    points = np.array([pts for pts, _ in items], dtype=np.intp)
+    return _Items(items, ids, points, np.array([spread for _, spread in items]))
+
+
+def _point_items(n) -> _Items:
+    # single points, traced by their index
+    return _sweep_items([((i,), 0.0) for i in range(n)], range(n))
+
+
 class _LedgerState:
     """Ledger-backed sweep over items of m = 1 points or m = 2 points.
 
     Each item is (points, spread), spread being the mean distance inside the
     points over their m*m ordered pairs; single points are the items
-    ((0,), 0.0), ((1,), 0.0), ... in index order.  The partition and the
-    ledger cover all n points of the cache.  With pairs on an odd n, one
-    point `held` is in no pair: it sits alone in an extra cluster k, which
-    the sweep never reads or targets (`sizes`, `coefs` and the objective
+    ((0,), 0.0), ((1,), 0.0), ... in index order.  `items` also carries
+    them as arrays (`_Items`).  The partition and the ledger cover all n
+    points of the cache.  With pairs on an odd n, one point `held` is in
+    no pair: it sits alone in an extra cluster k, which the sweep never
+    reads or targets (`sizes`, `coefs` and the objective
     cover clusters 0..k-1 only).  `coefs` caches each cluster's
     `_cluster_coef` factors and is refreshed after every move and rebuild.
     `finish` inserts the held point into the cluster where it costs least,
     and with pairs rebuilds the ledger for the final objective.
     """
 
-    def __init__(self, cache, partition, items, ids, pairs=False, held=None):
+    def __init__(self, cache, partition, items: _Items, held=None):
         self.partition = partition
         self.ledger = ClusterSumLedger(partition, cache)
-        self.items = items
-        self.ids = ids
-        self.pairs = pairs
-        self.m = 2 if pairs else 1
+        self.items, self.ids, self.points, self.spreads = items
+        self.m = items.points.shape[1]
+        self.pairs = self.m == 2
         self.held = held
         self.k = partition.k - (held is not None)
         # a view: moves update the partition's sizes in place
         self.sizes = partition.sizes[: self.k]
         self.refresh_coefs()
-        # the items as arrays, for `screen`: (items, m) points and the spreads
-        self.points = np.array([pts for pts, _ in items], dtype=np.intp)
-        self.spreads = np.array([spread for _, spread in items])
 
     def refresh_coefs(self, clusters=None):
         sizes, within = self.sizes, self.ledger.within
@@ -458,9 +476,10 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def _pair_items(dist, held=None) -> list:
+def _pair_items(dist, held=None) -> _Items:
     # sweep items of second variation: closest pairs with half their distance
-    return [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist, held)]
+    items = [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist, held)]
+    return _sweep_items(items, [pts for pts, _ in items])
 
 
 def _pair_state(cache, k, rng, even_items) -> _LedgerState:
@@ -471,10 +490,10 @@ def _pair_state(cache, k, rng, even_items) -> _LedgerState:
     held = int(rng.integers(n)) if n % 2 else None
     items = even_items if held is None else _pair_items(cache.dist, held)
     labels = np.full(n, k, dtype=np.intp)
-    for ((a, b), _), lab in zip(items, _surjective_labels(len(items), k, rng)):
+    for (a, b), lab in zip(items.ids, _surjective_labels(len(items.ids), k, rng)):
         labels[a] = labels[b] = lab
     part = Partition(labels, k + (held is not None))
-    return _LedgerState(cache, part, items, [pts for pts, _ in items], pairs=True, held=held)
+    return _LedgerState(cache, part, items, held)
 
 
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
@@ -509,7 +528,7 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
             raise InputError("init_labels length does not match the data")
     cache = DistanceCache(x, cfg.alpha)
     even_items = _pair_items(cache.dist) if pairs and n % 2 == 0 else None
-    points = [((i,), 0.0) for i in range(n)]
+    points = None if pairs else _point_items(n)
 
     results = []
     for r in range(cfg.restarts):
@@ -518,7 +537,7 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
             state = _pair_state(cache, cfg.k, rng, even_items)
         else:
             part = start if r == 0 and start is not None else random_partition(n, cfg.k, rng)
-            state = _LedgerState(cache, part, points, range(n))
+            state = _LedgerState(cache, part, points)
         trace = [] if collect_trace else None
         passes, moves = _sweep(state, cfg.max_passes, trace)
         part, w = state.finish()

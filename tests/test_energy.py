@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
+import kgroups.energy as kenergy
 from kgroups import (
     DistanceCache,
     InputError,
@@ -197,6 +198,15 @@ class TestDisco:
                 cache = DistanceCache(x, alpha)
                 d = disco(labels, cache)
                 assert d.within == pytest.approx(brute_within(x, labels, alpha), rel=1e-10)
+
+    def test_one_row_blocks_match_brute_force(self, rng, monkeypatch):
+        monkeypatch.setattr(kenergy, "_BLOCK_BYTES", 1)
+        for _ in range(10):
+            x, labels, _ = random_instance(rng)
+            for alpha in (0.5, 1.0, 2.0):
+                d = disco(labels, DistanceCache(x, alpha))
+                assert d.within == pytest.approx(brute_within(x, labels, alpha), rel=1e-10)
+                assert abs(d.total - (d.within + d.between)) <= 1e-10 * max(1.0, d.total)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)

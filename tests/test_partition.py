@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import kgroups.energy as kenergy
 import kgroups.partition as kpartition
 
 from kgroups import (
@@ -15,6 +17,7 @@ from kgroups import (
     InputError,
     Partition,
     RejectedMoveError,
+    disco,
     move_point,
     random_partition,
 )
@@ -150,6 +153,41 @@ class TestLedger:
             for m in p.cluster_indices(j):
                 acc += cache.dist[:, m]
             assert np.array_equal(ledger.sums[:, j], acc)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_blocked_build_adds_members_in_index_order(self, rows, monkeypatch):
+        # blocks of a few rows, each carrying the running sum of the blocks
+        # before, add the members in the order of one plain running sum
+        gen = np.random.default_rng(50 + rows)
+        for _ in range(30):
+            x, labels, k = random_instance(gen, n_lo=5, n_hi=120, p_hi=4, k_hi=8)
+            cache = DistanceCache(x, float(gen.choice([0.5, 1.0, 2.0])))
+            p = Partition(labels, k)
+            monkeypatch.setattr(kenergy, "_BLOCK_BYTES", rows * 8 * p.n)
+            ledger = ClusterSumLedger(p, cache)
+            for j in range(k):
+                acc = np.zeros(p.n)
+                for m in p.cluster_indices(j):
+                    acc += cache.dist[:, m]
+                assert np.array_equal(ledger.sums[:, j], acc)
+
+    @pytest.mark.parametrize("pass_", [ClusterSumLedger, disco], ids=["ledger", "disco"])
+    def test_memory_is_bounded(self, pass_):
+        # a lopsided split: gathering the large cluster's rows whole would
+        # copy 1400 x 1500 floats (16.8 MB), its block 1400 x 1400 (15.7 MB);
+        # the ledger's own arrays are 24 KB
+        n = 1500
+        cache = DistanceCache(np.random.default_rng(8).standard_normal((n, 2)), 1.0)
+        labels = np.zeros(n, dtype=np.intp)
+        labels[np.random.default_rng(9).choice(n, 100, replace=False)] = 1
+        p = Partition(labels, 2)
+        tracemalloc.start()
+        try:
+            pass_(p, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgroups
+import kgroups.energy as kenergy
 import kgroups.solver as solver
 from kgroups import (
     ClusterSumLedger,
@@ -713,7 +714,7 @@ class TestScreen:
                 state = solver._pair_state(cache, k, rng, items)
             else:
                 part = Partition(rng.permutation(np.arange(n) % k), k)
-                state = solver._LedgerState(cache, part, [((i,), 0.0) for i in range(n)], range(n))
+                state = solver._LedgerState(cache, part, solver._point_items(n))
             # from the start, then nearer convergence, where most items stay
             for passes in (0, 1, 3):
                 if passes:
@@ -735,6 +736,20 @@ class TestScreen:
                     assert state.screen(t) == first, (trial, passes, t)
                     skips += first - t
         assert skips > 0 and ties > 0
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("mode, alpha", SCREEN_RUNS)
+    def test_one_row_blocks_give_the_default_fit(self, n, mode, alpha, monkeypatch):
+        # ledger builds (start, re-anchor and the pair sweep's `finish`) and
+        # disco read one row at a time; everything the fit reports is unchanged
+        g = np.random.default_rng(n)
+        x = g.standard_normal((n, 2)) + 2.0 * g.integers(0, 3, (n, 1))
+        cfg = FitConfig(k=3, alpha=alpha, restarts=3, rng_seed=n, mode=mode)
+        default = _fit_record(x, cfg)
+        monkeypatch.setattr(kenergy, "_BLOCK_BYTES", 1)
+        assert _fit_record(x, cfg) == default
 
 
 SCALE_MODES = [("first_variation", 1.0), ("first_variation", 2.0), ("second_variation", 1.0),
