@@ -90,6 +90,71 @@ def _weighted_cost(cross, within, nj, spread, m, leaving):
     return m * nj / (2.0 * ((nj - m) if leaving else (nj + m))) * xi
 
 
+def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
+    """First variation visiting every point in index order, on numpy state.
+
+    Each restart starts from `random_partition` on the restart's stream and
+    visits every point in turn (no screen), reading the partition's labels
+    and sizes and the ledger's sums as numpy arrays.  A point leaves its
+    cluster of size n1 >= 2 for the cluster j != own of lowest cost (ties
+    keep the lowest j) when its removal cost exceeds that cost, moved by
+    `move_point`.  The sweep ends after n consecutive visits move nothing or
+    max_passes passes; then, or at max_passes, a ledger whose objective
+    drifted from disco's by more than 1e-9 relative is rebuilt and the sweep
+    resumes.  Only public pieces are used.  Returns the winning restart's
+    labels, objective, passes, moves and (point, source, target,
+    within_after) trace, every restart's objective and the rebuilds over
+    all restarts.
+    """
+    from kgroups import ClusterSumLedger, DistanceCache, disco, move_point, random_partition
+
+    cache = DistanceCache(x, alpha)
+    n = cache.n
+    results = []
+    rebuilds = 0
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        part = random_partition(n, k, rng)
+        ledger = ClusterSumLedger(part, cache)
+        trace = []
+        passes = moves = still = 0
+        while passes < max_passes and still < n:
+            for i in range(n):
+                frm = int(part.labels[i])
+                moved = False
+                if part.sizes[frm] > 1:
+                    sizes = part.sizes.tolist()
+                    within = ledger.within.tolist()
+                    cross = ledger.sums[i].tolist()
+                    removal = _weighted_cost(cross[frm], within[frm], sizes[frm], 0.0, 1, True)
+                    best, to = np.inf, -1
+                    for j in range(k):
+                        if j != frm:
+                            cost = _weighted_cost(cross[j], within[j], sizes[j], 0.0, 1, False)
+                            if cost < best:
+                                best, to = cost, j
+                    if removal > best:
+                        move_point(part, ledger, i, to)
+                        moves += 1
+                        trace.append((i, frm, to, ledger.within_dispersion(part)))
+                        moved = True
+                still = 0 if moved else still + 1
+                if still >= n:
+                    break
+            passes += 1
+            if still >= n or passes == max_passes:
+                fresh = disco(part, cache).within
+                if abs(ledger.within_dispersion(part) - fresh) > 1e-9 * abs(fresh):
+                    ledger = ClusterSumLedger(part, cache)
+                    rebuilds += 1
+                    still = 0
+        w = ledger.within_dispersion(part)
+        results.append((w, part.labels.copy(), passes, moves, trace))
+    w, labels, passes, moves, trace = min(results, key=lambda res: res[0])
+    return {"labels": labels, "within": w, "passes": passes, "moves": moves, "trace": trace,
+            "per_restart_within": [res[0] for res in results], "rebuilds": rebuilds}
+
+
 def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
     """Second variation on an odd n with the held-out point cut out of the matrix.
 

@@ -41,6 +41,18 @@ class TestPartition:
             Partition([0, 1, 3], k=3)
 
 
+class _CountingRng:
+    """A Generator that counts the calls of each method."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
 class TestRandomPartition:
     def test_n_equals_k_gives_singletons(self):
         p = random_partition(4, 4, 123)
@@ -71,6 +83,35 @@ class TestRandomPartition:
         # plain rejection would need ~1e10, ~5e7 and far more draws here
         p = random_partition(n, k, 3)
         assert p.sizes.min() >= 1
+
+    @pytest.mark.parametrize("n, k", [(30, 29), (200, 100), (2001, 1990)])
+    def test_starts_past_the_draw_bound_skip_rejection(self, n, k, monkeypatch):
+        # (1 - (1 - 1/k)^n)^k < 1/_REJECTION_DRAWS: the block sizes are drawn
+        # at once, as with no rejection draws at all
+        rng = _CountingRng(np.random.default_rng(n))
+        labels = kpartition._surjective_labels(n, k, rng)
+        assert rng.calls["integers"] == 0
+        monkeypatch.setattr(kpartition, "_REJECTION_DRAWS", 0)
+        exact = kpartition._surjective_labels(n, k, np.random.default_rng(n))
+        assert np.array_equal(labels, exact)
+
+    @pytest.mark.parametrize("n, k", [(7, 6), (30, 25), (12, 4), (200, 2)])
+    def test_starts_within_the_draw_bound_keep_rejection(self, n, k):
+        # the bound does not fire; where rejection succeeds within its draws
+        # (all but (30, 25), which expects about 1e6) the start is its draw
+        rng = _CountingRng(np.random.default_rng(k))
+        kpartition._surjective_labels(n, k, rng)
+        assert rng.calls["integers"] >= 1
+        if (n, k) == (30, 25):
+            return
+        for seed in range(30):
+            plain = np.random.default_rng(seed)
+            while True:
+                want = plain.integers(0, k, size=n)
+                if np.bincount(want, minlength=k).min() >= 1:
+                    break
+            got = kpartition._surjective_labels(n, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
 
     def test_block_size_fallback_is_uniform_over_surjections(self, monkeypatch):
         monkeypatch.setattr(kpartition, "_REJECTION_DRAWS", 0)

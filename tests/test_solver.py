@@ -28,6 +28,7 @@ from kgroups import (
 
 from conftest import (
     brute_within,
+    first_variation_reference,
     hartigan_wong_transfers,
     odd_second_variation_reference,
     random_instance,
@@ -196,7 +197,36 @@ class TestPairing:
         assert sorted(i for pair in pairs for i in pair) == list(range(6))
 
 
+def _sweep_cases():
+    # small normal clusters, half-integer ties, and two sites 1e8 apart
+    # whose moves make the ledger drift until a re-anchor rebuilds it
+    g = np.random.default_rng(11)
+    yield "normal", g.standard_normal((41, 2)) + 3.0 * g.integers(0, 3, (41, 1)), 3
+    yield "half_integer", np.round(g.standard_normal((48, 1)) * 2) / 2, 4
+    yield "mixed_scale", g.standard_normal((61, 2)) * 1e-8 + 1e8 * (np.arange(61) % 2)[:, None], 5
+
+
+SWEEP_CASES = list(_sweep_cases())
+
+
 class TestFitFirstVariation:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("name, x, k", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+    def test_matches_the_plain_sweep_reference(self, name, x, k, alpha):
+        # every point visited in order on the numpy partition and ledger
+        rebuilds = 0
+        for seed in range(3):
+            cfg = FitConfig(k=k, alpha=alpha, restarts=3, rng_seed=seed)
+            got = fit(x, cfg, collect_trace=True)
+            ref = first_variation_reference(x, k, alpha, 3, seed)
+            assert np.array_equal(got.partition.labels, ref["labels"])
+            assert got.within == ref["within"]
+            assert got.per_restart_within == ref["per_restart_within"]
+            assert (got.passes, got.moves) == (ref["passes"], ref["moves"])
+            assert got.trace == ref["trace"]
+            rebuilds += ref["rebuilds"]
+        assert (rebuilds > 0) == (name == "mixed_scale")
+
     def test_recovers_separated_clusters(self):
         x = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])
         truth = np.array([0, 0, 0, 1, 1, 1])
@@ -644,6 +674,72 @@ class TestPublicSurface:
         for owner, name in gone:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
+
+
+MODE_RUNS = [("first_variation", 1.0), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
+
+
+def _sweep_state(x, k, alpha, mode, rng):
+    # a restart's state as `fit` builds it, from a random start
+    cache = DistanceCache(x, alpha)
+    n = cache.n
+    if mode == "second_variation":
+        items = solver._pair_items(cache.dist) if n % 2 == 0 else None
+        return solver._pair_state(cache, k, rng, items)
+    part = Partition(solver._surjective_labels(n, k, rng), k)
+    return solver._LedgerState(cache, part, solver._point_items(n))
+
+
+class TestSweepState:
+    @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
+    def test_mirrors_equal_the_numpy_state(self, mode, alpha):
+        # the sweep's Python copies of labels, sizes and pair sums, and the
+        # row and column views, after 1, 2 and 50 more passes, rebuilds included
+        g = np.random.default_rng(23)
+        cases = [(g.standard_normal((n, int(g.integers(1, 4)))), int(g.integers(2, 6)))
+                 for n in (24, 25, 40, 57, 90, 91)]
+        for n, k in ((61, 5), (160, 6)):
+            far = g.standard_normal((n, 2)) * 1e-8 + 1e8 * (np.arange(n) % 2)[:, None]
+            cases += [(far, k)] * 3
+        rebuilt = 0
+        for x, k in cases:
+            state = _sweep_state(x, k, alpha, mode, g)
+            for passes in (1, 2, 50):
+                ledger = state.ledger
+                solver._sweep(state, passes, None)
+                rebuilt += state.ledger is not ledger
+                part, ledger = state.partition, state.ledger
+                assert state.labels == part.labels.tolist()
+                assert state.sizes == part.sizes.tolist()
+                assert state.within == ledger.within.tolist()
+                assert len(state.rows) == part.n and len(ledger.cols) == part.k
+                for i, row in enumerate(state.rows):
+                    assert np.shares_memory(row, ledger.sums)
+                    assert np.array_equal(row, ledger.sums[i])
+                for j, col in enumerate(ledger.cols):
+                    assert np.shares_memory(col, ledger.sums)
+                    assert np.array_equal(col, ledger.sums[:, j])
+                coefs = [solver._cluster_coef(int(part.sizes[j]), float(ledger.within[j]), state.m)
+                         for j in range(state.k)]
+                assert state.coefs == coefs
+        assert rebuilt > 0
+
+    @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
+    def test_every_move_goes_through_move_point(self, mode, alpha, monkeypatch):
+        # the traced benchmark times `partition.move_point` on this name
+        calls = []
+        inner = solver.move_point
+
+        def counted(*args):
+            calls.append(args[2])
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "move_point", counted)
+        x = np.random.default_rng(5).standard_normal((60, 2))
+        result = fit(x, FitConfig(k=3, alpha=alpha, restarts=1, rng_seed=2, mode=mode))
+        m = 2 if mode == "second_variation" else 1
+        assert result.moves > 0
+        assert len(calls) == m * result.moves
 
 
 def _fit_record(x, cfg):
