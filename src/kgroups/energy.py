@@ -82,7 +82,8 @@ class DistanceCache:
             dist = cdist(x, x, "sqeuclidean")
         else:
             dist = cdist(x, x, "euclidean")
-            dist **= self.alpha
+            if self.alpha != 1.0:  # x ** 1.0 is x: a pass over n x n saved
+                dist **= self.alpha
         if not dist.any() and (x != x[0]).any():
             raise NumericInvariantError("distances between distinct points all underflow to 0.0")
         dist.setflags(write=False)
@@ -93,9 +94,11 @@ class DistanceCache:
 
 
 def _index_set(idx, n: int, name: str) -> np.ndarray:
-    a = np.asarray(idx, dtype=np.intp).ravel()
+    a = np.asarray(idx).ravel()
     if a.size == 0:
         raise InputError(f"{name} must be a nonempty index set")
+    if a.dtype.kind not in "iu":  # no truncated floats, no bools
+        raise InputError(f"{name} must hold integer indices, got {a.dtype}")
     if a.min() < 0 or a.max() >= n:
         raise InputError(f"{name} contains indices outside 0..{n - 1}")
     a = np.sort(a)

@@ -52,3 +52,14 @@ def check_fields(fields, reals=(), **least):
         if not ok or isinstance(value, bool):
             kind = "a finite number" if low is None else f"an integer >= {low}"
             raise InputError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_index(value, size, name) -> int:
+    """`value` as an int in 0..size-1: InputError for a bool, a non-integer
+    or an id out of range, the `check_fields` rule with an upper bound."""
+    if type(value) is not int:
+        check_fields({name: value}, **{name: 0})
+        value = operator.index(value)
+    if not 0 <= value < size:
+        raise InputError(f"{name} {value} outside 0..{size - 1}")
+    return value

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .energy import _block_rows, _dist_for
-from .errors import InputError, RejectedMoveError, check_fields
+from .errors import InputError, RejectedMoveError, check_fields, check_index
 
 __all__ = [
     "Partition",
@@ -24,14 +24,15 @@ __all__ = [
 
 
 class Partition:
-    """Cluster labels for n points plus maintained cluster sizes.
+    """Cluster labels for n points plus their cluster sizes.
 
-    Every cluster id in 0..k-1 must be nonempty, and stays nonempty through
-    any mutation applied via `move_point` (moves that would empty their
-    source cluster are rejected).
+    `counts` is the live list of the sizes, Python ints, and `sizes` a
+    read-only array built from it on each access.  `move_point` keeps them
+    equal to the labels and every cluster id in 0..k-1 nonempty: a move
+    that would empty its source cluster is rejected.
     """
 
-    __slots__ = ("labels", "sizes", "k")
+    __slots__ = ("labels", "counts", "k")
 
     def __init__(self, labels, k=None):
         lab = np.asarray(labels, dtype=np.intp).copy().ravel()
@@ -49,37 +50,28 @@ class Partition:
             empty = int(np.flatnonzero(sizes == 0)[0])
             raise InputError(f"cluster {empty} is empty")
         self.labels = lab
-        self.sizes = sizes
+        self.counts = sizes.tolist()
         self.k = kk
 
     @property
     def n(self) -> int:
         return self.labels.shape[0]
 
+    @property
+    def sizes(self) -> np.ndarray:
+        return _frozen(self.counts)
+
     def cluster_indices(self, j) -> np.ndarray:
         return np.flatnonzero(self.labels == j)
 
-    def _apply_move(self, i: int, to: int) -> int:
-        """Relabel point i, keeping sizes consistent.  Returns the old label.
-
-        Internal: callers are responsible for updating any ledger.
-        """
-        frm = self.labels.item(i)
-        if to == frm:
-            raise InputError(f"point {i} is already in cluster {to}")
-        if not 0 <= to < self.k:
-            raise InputError(f"cluster id {to} outside 0..{self.k - 1}")
-        if self.sizes[frm] < 2:
-            raise RejectedMoveError(
-                f"moving point {i} would empty cluster {frm}"
-            )
-        self.labels[i] = to
-        self.sizes[frm] -= 1
-        self.sizes[to] += 1
-        return frm
-
     def __repr__(self):
-        return f"Partition(n={self.n}, k={self.k}, sizes={self.sizes.tolist()})"
+        return f"Partition(n={self.n}, k={self.k}, sizes={self.counts})"
+
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
 
 
 # every start that needs fewer draws is the one plain rejection gives
@@ -154,26 +146,22 @@ class ClusterSumLedger:
     blocks of a fixed byte budget (`energy._block_rows`) and sums each
     block down the columns, adding the running sum of the blocks before
     into the block's first row: the same values in the same order as one
-    sum over all the rows.  Gathering a cluster's rows whole copied
-    |C_j| x n floats on every build, over 4 MiB at n = 2001, where each
-    copy is mapped fresh and page-faulted once past glibc's mmap threshold.
-    The blocks keep the temporary at 256 KiB: a build at n = 2001, k = 6
-    went from 34-38 to 7.4-8.3 ms under a 4 MiB threshold (numpy 2.4).
-    After construction the ledger is kept consistent by
-    `move_point`; a from-scratch rebuild must agree to 1e-10 relative
-    (tested).
+    sum over all the rows, in temporaries of 256 KiB at most (see
+    `energy._BLOCK_BYTES`): a build at n = 2001, k = 6 took 7.4-8.3 ms, and
+    34-38 ms gathering each cluster's rows whole under a 4 MiB mmap
+    threshold (numpy 2.4).
+    After construction the ledger is kept consistent by `move_point`; a
+    from-scratch rebuild must agree to 1e-10 relative (tested).
 
-    `sums` is stored cluster-major: it is the transposed view of a C-ordered
-    (k, n) array, so each column sums[:, j] is contiguous.  Indexing is the
-    same sums[i, j] as for an (n, k) array.  `cols[j]` is the view sums[:, j],
-    made once per ledger: `move_point` writes its two column updates through
-    them into contiguous memory, and does not pay for making the views,
-    some 0.35 us each, on every move.  A traced move at n = 2001, k = 6
-    takes a median 8.0 us, against 10.6 us when it made them (four
-    benchmark runs each, numpy 2.4).
+    `pair_sums` is the live list of within[j], Python floats, and `within`
+    a read-only array built from it on each access.  `sums` is cluster-major,
+    the transposed view of a C-ordered (k, n) array, so each column
+    sums[:, j] is contiguous; it indexes as sums[i, j] all the same.
+    `cols[j]` is the view sums[:, j], made once per ledger, so a move does
+    not pay some 0.35 us per view for its two column updates (numpy 2.4).
     """
 
-    __slots__ = ("dist", "sums", "within", "cols")
+    __slots__ = ("dist", "sums", "pair_sums", "cols")
 
     def __init__(self, partition: Partition, cache):
         dist = _dist_for(cache)
@@ -184,7 +172,7 @@ class ClusterSumLedger:
             )
         self.dist = dist
         cols = np.empty((partition.k, n), dtype=np.float64)
-        within = np.empty(partition.k, dtype=np.float64)
+        pair_sums = []
         step = _block_rows(n)
         for j in range(partition.k):
             idx = partition.cluster_indices(j)
@@ -194,10 +182,14 @@ class ClusterSumLedger:
                 rows[0] += col
                 col = rows.sum(axis=0)
             cols[j] = col
-            within[j] = 0.5 * col[idx].sum()
+            pair_sums.append(0.5 * col[idx].sum().item())
         self.sums = cols.T
-        self.within = within
+        self.pair_sums = pair_sums
         self.cols = list(cols)
+
+    @property
+    def within(self) -> np.ndarray:
+        return _frozen(self.pair_sums)
 
     def within_dispersion(self, partition: Partition) -> float:
         """Current value of the clustering objective (sum of within[j]/n_j)."""
@@ -207,13 +199,26 @@ class ClusterSumLedger:
 def move_point(partition: Partition, ledger: ClusterSumLedger, i, to) -> None:
     """Move point i to cluster `to`, updating partition and ledger in O(n).
 
-    Raises RejectedMoveError when the move would empty the source cluster.
+    The one update of the partition's labels and counts and the ledger's
+    pair sums and columns.  Raises InputError for ids that are not integers
+    in range or a move within one cluster, and RejectedMoveError when the
+    move would empty the source cluster.
     """
-    i, to = int(i), int(to)
-    frm = partition._apply_move(i, to)
-    cols, within = ledger.cols, ledger.within
-    within[frm] -= cols[frm][i]
-    within[to] += cols[to][i]
+    labels, counts, k = partition.labels, partition.counts, partition.k
+    # Python ints in range skip the full check: the sweep makes every move
+    if not (type(i) is int and type(to) is int and 0 <= i < labels.shape[0] and 0 <= to < k):
+        i, to = check_index(i, labels.shape[0], "point"), check_index(to, k, "cluster")
+    frm = labels.item(i)
+    if to == frm:
+        raise InputError(f"point {i} is already in cluster {to}")
+    if counts[frm] < 2:
+        raise RejectedMoveError(f"moving point {i} would empty cluster {frm}")
+    labels[i] = to
+    counts[frm] -= 1
+    counts[to] += 1
+    cols, pair_sums = ledger.cols, ledger.pair_sums
+    pair_sums[frm] -= cols[frm].item(i)
+    pair_sums[to] += cols[to].item(i)
     dcol = ledger.dist[i]
     cols[frm] -= dcol
     cols[to] += dcol

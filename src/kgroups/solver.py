@@ -49,16 +49,12 @@ screening at all.
 
 The visits that remain, and the bookkeeping of every move, are interpreted
 Python, and numpy scalars were their dearest part: reading one value out
-of an array costs 100-250 ns, a list item about 20 ns (numpy 2.4).  So a
-visit reads Python mirrors of the state (`_LedgerState`): the labels, the
-cluster sizes and pair sums and the clusters' kernel factors as lists, and
-its item's distance sums through a list of the ledger's row views, with
-one `tolist`.  The numpy partition and ledger stay the state that the
-screen, the re-anchor check, `finish` and the trace read, and `move_point`
-stays their only update; the mirrors are made afresh with every ledger and
-kept equal through every move.  In traced benchmark runs this took the
-sweep's own time per fit from a median of 0.59 to 0.43 s at n = 2001,
-k = 6, R = 5, and from 0.099 to 0.076 s at n = 358, k = 6, R = 20.
+of an array costs 100-250 ns, a list item about 20 ns (numpy 2.4).  So the
+partition keeps its cluster counts and the ledger its pair sums as Python
+lists, which `move_point`, the one update of both, changes once per point.
+A move refreshes its two clusters' kernel factors from them; a visit reads
+the factors, a list copy of the labels and, with one `tolist`, its item's
+distance sums through the ledger's row views (`_LedgerState`).
 """
 
 from __future__ import annotations
@@ -69,8 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import DistanceCache, as_data_matrix, disco, validate_alpha
-from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields
+from .energy import DistanceCache, _index_set, as_data_matrix, disco, validate_alpha
+from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields, check_index
 from .partition import (
     ClusterSumLedger,
     Partition,
@@ -208,28 +204,20 @@ def mth_variation_delta(partition, ledger, points, to) -> float:
     Positive means the move lowers the within-cluster dispersion.  Raises
     RejectedMoveError when the move would empty the source cluster.
     """
-    pts = np.asarray(points, dtype=np.intp).ravel()
-    if pts.size == 0:
-        raise InputError("point set is empty")
-    if np.unique(pts).size != pts.size:
-        raise InputError("point set contains repeated indices")
-    if pts.min() < 0 or pts.max() >= partition.n:
-        raise InputError("point indices outside the partition")
-    frm = int(partition.labels[pts[0]])
+    pts = _index_set(points, partition.n, "point set")
+    to = check_index(to, partition.k, "cluster")
+    frm = partition.labels.item(pts[0])
     if not (partition.labels[pts] == frm).all():
         raise InputError("all moved points must share one source cluster")
-    if int(partition.sizes[frm]) <= pts.size:
-        raise RejectedMoveError(f"moving {pts.size} points would empty cluster {frm}")
-    to = int(to)
     if to == frm:
         raise InputError("target cluster equals the source cluster")
-    if not 0 <= to < partition.k:
-        raise InputError(f"cluster id {to} outside 0..{partition.k - 1}")
+    if partition.counts[frm] <= pts.size:
+        raise RejectedMoveError(f"moving {pts.size} points would empty cluster {frm}")
     m = pts.size
     both = [frm, to]
     cross = [float(ledger.sums[pts, j].sum()) for j in both]
     spread = float(ledger.dist[np.ix_(pts, pts)].sum()) / (m * m)
-    coefs = [_cluster_coef(int(partition.sizes[j]), float(ledger.within[j]), m) for j in both]
+    coefs = [_cluster_coef(partition.counts[j], ledger.pair_sums[j], m) for j in both]
     removal, insertion, _ = _relocation_costs(cross, coefs, spread, 0)
     return removal - insertion
 
@@ -251,24 +239,19 @@ _SCREEN_BLOCK = 128
 
 
 class _Items(NamedTuple):
-    """A sweep's items: (points, spread) tuples for `visit`, the ids its
-    trace records and, for `screen`, the (items, m) points and the spreads
-    as arrays.  Built once per item list, not once per restart."""
+    """A sweep's items: (points, spread) tuples for `visit`, the ids its trace
+    records and, for a pair `screen`, the (items, 2) points and spreads as arrays
+    (None for single points: item t is point t).  Built once per item list."""
 
     items: list
     ids: list
-    points: np.ndarray
-    spreads: np.ndarray
-
-
-def _sweep_items(items, ids) -> _Items:
-    points = np.array([pts for pts, _ in items], dtype=np.intp)
-    return _Items(items, ids, points, np.array([spread for _, spread in items]))
+    points: np.ndarray | None = None
+    spreads: np.ndarray | None = None
 
 
 def _point_items(n) -> _Items:
     # single points, traced by their index
-    return _sweep_items([((i,), 0.0) for i in range(n)], range(n))
+    return _Items([((i,), 0.0) for i in range(n)], range(n))
 
 
 class _LedgerState:
@@ -277,37 +260,35 @@ class _LedgerState:
     Each item is (points, spread), spread being the mean distance inside the
     points over their m*m ordered pairs; single points are the items
     ((0,), 0.0), ((1,), 0.0), ... in index order.  `items` also carries
-    them as arrays (`_Items`).  The partition and the ledger cover all n
+    pairs as arrays (`_Items`).  The partition and the ledger cover all n
     points of the cache.  With pairs on an odd n, one point `held` is in
     no pair: it sits alone in an extra cluster k, which the sweep never
     reads or targets (`coefs` and the objective cover clusters 0..k-1
     only).  `finish` inserts the held point into the cluster where it costs
     least, and with pairs rebuilds the ledger for the final objective.
 
-    The partition and the ledger are the state; `screen`, `reanchor`,
-    `finish` and the trace read them.  The sweep's visits read Python
-    mirrors of them instead: `labels`, `sizes` and `within` copy the
-    partition's labels and sizes and the ledger's pair sums, `rows` holds
-    the ledger's row views sums[i] and `coefs` each cluster's
-    `_cluster_coef` factors.  `bind` makes them all afresh with each
-    ledger; `move` keeps them equal to the state through every move.
+    `sizes` and `within` are the partition's own count list and the
+    ledger's own pair-sum list, which `move_point` updates.  The visits
+    also read `labels`, a list copy of the partition's labels, `rows`, the
+    ledger's row views sums[i], and `coefs`, each cluster's `_cluster_coef`
+    factors: `move` keeps them equal to the state, and `bind` makes `rows`
+    and `coefs` afresh with each ledger.
     """
 
     def __init__(self, cache, partition, items: _Items, held=None):
         self.partition = partition
         self.items, self.ids, self.points, self.spreads = items
-        self.m = items.points.shape[1]
-        self.pairs = self.m == 2
+        self.pairs = items.points is not None
+        self.m = 2 if self.pairs else 1
         self.held = held
         self.k = partition.k - (held is not None)
+        self.labels = partition.labels.tolist()
+        self.sizes = partition.counts
         self.bind(ClusterSumLedger(partition, cache))
 
     def bind(self, ledger):
-        part = self.partition
         self.ledger = ledger
-        self.labels = part.labels.tolist()
-        self.sizes = part.sizes.tolist()
-        self.within = ledger.within.tolist()
+        self.within = ledger.pair_sums
         self.rows = list(ledger.sums)
         self.coefs = [_cluster_coef(self.sizes[j], self.within[j], self.m) for j in range(self.k)]
 
@@ -316,35 +297,34 @@ class _LedgerState:
         for i in pts:
             move_point(self.partition, self.ledger, i, to)
             self.labels[i] = to
-        m, sizes = self.m, self.sizes
-        sizes[frm] -= m
-        sizes[to] += m
-        within = self.within = self.ledger.within.tolist()
         for j in (frm, to):
-            self.coefs[j] = _cluster_coef(sizes[j], within[j], m)
+            self.coefs[j] = _cluster_coef(self.sizes[j], self.within[j], self.m)
 
     def screen(self, t):
         """The first item at or after t that a visit moves, else the item count.
 
         The numpy twin of the sweep's visit over blocks of items: the same
         operations in the same order, so the costs are bit-equal to the
-        visit's.  An item is kept when its removal cost exceeds its lowest
-        insertion cost, the visit's own rule; fmin skips a NaN cost as the
-        visit's `cost < best` does.  An item whose cluster has n_j <= m gets
-        a NaN removal weight, and never moves.
+        visit's (single points skip `- spread`: x - 0.0 is x).  An item is
+        kept when its removal cost exceeds its lowest insertion cost, the
+        visit's own rule; fmin skips a NaN cost as the visit's `cost < best`
+        does.  An item whose cluster has n_j <= m gets a NaN removal weight,
+        and never moves.
         """
         n_items = len(self.items)
         mn, wterm, remove_w, insert_w = np.array(self.coefs, dtype=float).T[..., None]
         sums = self.ledger.sums.T[: self.k]  # (k, n), C-ordered; no held cluster
+        labels = self.partition.labels
         block = _SCREEN_BLOCK
         while t < n_items:
             end = min(t + block, n_items)
-            pts = self.points[t:end]
-            cross = sums[:, pts[:, 0]]
             if self.pairs:
-                cross = cross + sums[:, pts[:, 1]]
-            xi = 2.0 * cross / mn - self.spreads[t:end] - wterm
-            frm = self.partition.labels[pts[:, 0]]
+                pts = self.points[t:end]
+                frm = labels[pts[:, 0]]
+                xi = 2.0 * (sums[:, pts[:, 0]] + sums[:, pts[:, 1]]) / mn - self.spreads[t:end] - wterm
+            else:
+                frm = labels[t:end]
+                xi = 2.0 * sums[:, t:end] / mn - wterm
             cols = np.arange(end - t)
             removal = remove_w[frm, 0] * xi[frm, cols]
             costs = insert_w * xi
@@ -500,8 +480,9 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
 
 def _pair_items(dist, held=None) -> _Items:
     # sweep items of second variation: closest pairs with half their distance
-    items = [((a, b), float(dist[a, b]) / 2.0) for a, b in min_distance_pairs(dist, held)]
-    return _sweep_items(items, [pts for pts, _ in items])
+    pairs = min_distance_pairs(dist, held)
+    spreads = [float(dist[a, b]) / 2.0 for a, b in pairs]
+    return _Items(list(zip(pairs, spreads)), pairs, np.array(pairs, dtype=np.intp), np.array(spreads))
 
 
 def _pair_state(cache, k, rng, even_items) -> _LedgerState:

@@ -131,6 +131,15 @@ class TestDispersion:
         with pytest.raises(InputError):
             dispersion([], [0], cache)
 
+    @pytest.mark.parametrize("a", [[0.7], [1.0], [True], [0, 1.5]])
+    def test_non_integer_ids_rejected(self, a):
+        # no truncation of 0.7 to 0 or True to 1
+        cache = DistanceCache([[0.0], [2.0], [5.0]], 1.0)
+        with pytest.raises(InputError):
+            dispersion(a, [2], cache)
+        with pytest.raises(InputError):
+            energy_statistic([2], a, cache)
+
 
 class TestEnergyStatistic:
     def test_singletons(self):

@@ -179,6 +179,42 @@ class TestLedger:
         with pytest.raises(InputError):
             move_point(p, ledger, 0, 0)
 
+    @pytest.mark.parametrize("i, to", [
+        (2.7, 1), (2, 1.9), (2.0, 1), (True, 1), (2, True), (np.float64(2), 1),
+        (-1, 1), (6, 1), (2, -1), (2, 2), (np.int64(6), 1), (np.int64(2), np.int64(-1)),
+    ])
+    def test_ill_typed_or_out_of_range_ids_rejected(self, i, to):
+        # no truncation, no negative indexing, no numpy IndexError; the
+        # partition and the ledger are left as they were
+        cache = DistanceCache(np.arange(6.0), 1.0)
+        p = Partition([0, 0, 0, 1, 1, 1])
+        ledger = ClusterSumLedger(p, cache)
+        sums = ledger.sums.copy()
+        with pytest.raises(InputError):
+            move_point(p, ledger, i, to)
+        assert p.labels.tolist() == [0, 0, 0, 1, 1, 1] and p.counts == [3, 3]
+        assert ledger.pair_sums == [4.0, 4.0] and np.array_equal(ledger.sums, sums)
+
+    def test_numpy_integer_ids_accepted(self):
+        cache = DistanceCache(np.arange(6.0), 1.0)
+        p = Partition([0, 0, 0, 1, 1, 1])
+        ledger = ClusterSumLedger(p, cache)
+        move_point(p, ledger, np.int64(2), np.intp(1))
+        assert p.labels.tolist() == [0, 0, 1, 1, 1, 1] and p.counts == [2, 4]
+        assert [type(c) for c in p.counts] == [int, int]
+        assert [type(w) for w in ledger.pair_sums] == [float, float]
+
+    def test_sizes_and_within_are_read_only_copies_of_the_lists(self):
+        cache = DistanceCache(np.arange(6.0), 1.0)
+        p = Partition([0, 0, 0, 1, 1, 1])
+        ledger = ClusterSumLedger(p, cache)
+        for array, values in ((p.sizes, p.counts), (ledger.within, ledger.pair_sums)):
+            assert array.tolist() == values
+            with pytest.raises(ValueError):
+                array[0] = 0
+        move_point(p, ledger, 2, 1)
+        assert p.sizes.tolist() == [2, 4] and ledger.within.tolist() == [1.0, 10.0]
+
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
     def test_build_adds_members_in_index_order(self, seed):

@@ -144,6 +144,17 @@ class TestMthVariationDelta:
         with pytest.raises(InputError):
             mth_variation_delta(p, ledger, [0, 2], 1)
 
+    @pytest.mark.parametrize("points, to", [
+        ([2.7], 1), ([2.0], 1), ([True], 1), ([0, 1.0], 1), ([2], 1.9), ([2], True),
+        ([2], 2), ([2], -1), ([-1], 1), ([6], 1),
+    ])
+    def test_ill_typed_or_out_of_range_ids_rejected(self, points, to):
+        # scored as given or not at all: no truncation of 2.7 to 2 or True to 1
+        x = np.arange(6.0)
+        cache, p, ledger = _ledger_for(x, [0, 0, 0, 1, 1, 1], 2, 1.0)
+        with pytest.raises(InputError):
+            mth_variation_delta(p, ledger, points, to)
+
 
 class TestPairing:
     def test_covers_all_points_once(self, rng):
@@ -693,8 +704,11 @@ def _sweep_state(x, k, alpha, mode, rng):
 class TestSweepState:
     @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
     def test_mirrors_equal_the_numpy_state(self, mode, alpha):
-        # the sweep's Python copies of labels, sizes and pair sums, and the
-        # row and column views, after 1, 2 and 50 more passes, rebuilds included
+        # the sweep's counts and pair sums are the partition's and the
+        # ledger's own lists, of Python ints and floats (an np.float64 would
+        # slow every visit and change no output bit); its label copy and the
+        # row and column views equal the state after 1, 2 and 50 more
+        # passes, rebuilds included, and after `finish`
         g = np.random.default_rng(23)
         cases = [(g.standard_normal((n, int(g.integers(1, 4)))), int(g.integers(2, 6)))
                  for n in (24, 25, 40, 57, 90, 91)]
@@ -710,6 +724,9 @@ class TestSweepState:
                 rebuilt += state.ledger is not ledger
                 part, ledger = state.partition, state.ledger
                 assert state.labels == part.labels.tolist()
+                assert state.sizes is part.counts and state.within is ledger.pair_sums
+                assert {type(c) for c in part.counts} == {int}
+                assert {type(w) for w in ledger.pair_sums} == {float}
                 assert state.sizes == part.sizes.tolist()
                 assert state.within == ledger.within.tolist()
                 assert len(state.rows) == part.n and len(ledger.cols) == part.k
@@ -722,6 +739,10 @@ class TestSweepState:
                 coefs = [solver._cluster_coef(int(part.sizes[j]), float(ledger.within[j]), state.m)
                          for j in range(state.k)]
                 assert state.coefs == coefs
+            final, w = state.finish()
+            assert type(w) is float and {type(c) for c in final.counts} == {int}
+            assert state.sizes is state.partition.counts
+            assert state.within is state.ledger.pair_sums
         assert rebuilt > 0
 
     @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
