@@ -93,16 +93,23 @@ class DistanceCache:
         return f"DistanceCache(n={self.n}, alpha={self.alpha})"
 
 
+def _labels(idx, name: str) -> np.ndarray:
+    """A label or index array as a new 1-D intp array: InputError unless it
+    is nonempty, 1-D and of nonnegative integers (no truncated floats, no bools)."""
+    a = np.array(idx)
+    if a.dtype.kind not in "iu" or a.ndim != 1 or a.size == 0:
+        raise InputError(f"{name} must be an integer array, 1-D and nonempty, got {a.dtype} {a.shape}")
+    a = a.astype(np.intp, copy=False)
+    if a.min() < 0:
+        raise InputError(f"{name} must be nonnegative")
+    return a
+
+
 def _index_set(idx, n: int, name: str) -> np.ndarray:
-    a = np.asarray(idx).ravel()
-    if a.size == 0:
-        raise InputError(f"{name} must be a nonempty index set")
-    if a.dtype.kind not in "iu":  # no truncated floats, no bools
-        raise InputError(f"{name} must hold integer indices, got {a.dtype}")
-    if a.min() < 0 or a.max() >= n:
+    a = np.sort(_labels(idx, name))
+    if a[-1] >= n:
         raise InputError(f"{name} contains indices outside 0..{n - 1}")
-    a = np.sort(a)
-    if a.size > 1 and (a[1:] == a[:-1]).any():
+    if (a[1:] == a[:-1]).any():
         raise InputError(f"{name} contains repeated indices")
     return a
 
@@ -188,12 +195,10 @@ def disco(partition, cache) -> DiscoResult:
     from 41-57 to 16-22 ms under a 4 MiB mmap threshold (numpy 2.4).
     """
     dist = _dist_for(cache)
-    labels = np.asarray(getattr(partition, "labels", partition), dtype=np.intp).ravel()
+    labels = _labels(getattr(partition, "labels", partition), "labels")
     n = dist.shape[0]
     if labels.shape[0] != n:
         raise InputError(f"partition covers {labels.shape[0]} points, cache has {n}")
-    if labels.min() < 0:
-        raise InputError("labels must be nonnegative cluster ids")
     k = getattr(partition, "k", int(labels.max()) + 1)
     groups = [np.flatnonzero(labels == j) for j in range(k)]
     for j, g in enumerate(groups):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .energy import _labels
 from .errors import InputError
 
 __all__ = [
@@ -48,16 +49,9 @@ class ContingencyTable:
 
     @classmethod
     def from_labels(cls, a, b) -> "ContingencyTable":
-        av = np.asarray(a, dtype=np.intp).ravel()
-        bv = np.asarray(b, dtype=np.intp).ravel()
+        av, bv = _labels(a, "a"), _labels(b, "b")
         if av.shape != bv.shape:
-            raise InputError(
-                f"label arrays differ in length: {av.size} vs {bv.size}"
-            )
-        if av.size == 0:
-            raise InputError("label arrays are empty")
-        if av.min() < 0 or bv.min() < 0:
-            raise InputError("labels must be nonnegative")
+            raise InputError(f"label arrays differ in length: {av.size} vs {bv.size}")
         r, c = int(av.max()) + 1, int(bv.max()) + 1
         return cls(np.bincount(av * c + bv, minlength=r * c).reshape(r, c))
 

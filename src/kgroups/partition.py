@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import _block_rows, _dist_for
+from .energy import _block_rows, _dist_for, _labels
 from .errors import InputError, RejectedMoveError, check_fields, check_index
 
 __all__ = [
@@ -35,11 +35,7 @@ class Partition:
     __slots__ = ("labels", "counts", "k")
 
     def __init__(self, labels, k=None):
-        lab = np.asarray(labels, dtype=np.intp).copy().ravel()
-        if lab.size == 0:
-            raise InputError("partition needs at least one point")
-        if lab.min() < 0:
-            raise InputError("cluster labels must be nonnegative")
+        lab = _labels(labels, "labels")
         if k is not None:
             check_fields({"k": k}, k=1)
         kk = int(lab.max()) + 1 if k is None else int(k)

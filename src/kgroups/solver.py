@@ -31,8 +31,9 @@ call it.  A move is applied only when this gain, as computed in floating
 point, is strictly positive.  A move whose exact gain is 0 is taken when
 rounding makes it positive, so the exact objective need not strictly
 decrease; `max_passes` bounds the search as well.  When a sweep stops, its
-maintained objective is checked against a fresh one and a drifted ledger
-is rebuilt before the sweep resumes.
+maintained objective is checked against that of a fresh `ClusterSumLedger`,
+which is bound, and the sweep resumed, when the two drifted apart.  No BLAS
+call decides a move, so a fit is the same under every BLAS thread count.
 
 Most visits move nothing, and they come in long runs: on the benchmark's
 n = 2001, k = 6 first-variation fit, 60 % of the visits fall in runs of
@@ -110,6 +111,8 @@ FIT_MODES = (
 
 def fit_mode(**key) -> FitMode:
     """The FIT_MODES entry matching one field, e.g. fit_mode(algorithm="kmeans")."""
+    if len(key) != 1 or not key.keys() <= set(FitMode._fields):
+        raise InputError(f"fit_mode takes one of the fields {FitMode._fields}, got {tuple(key)}")
     ((attr, value),) = key.items()
     for m in FIT_MODES:
         if getattr(m, attr) == value:
@@ -342,21 +345,20 @@ class _LedgerState:
         return _dispersion(self.ledger.within[: self.k], self.partition.sizes[: self.k])
 
     def reanchor(self) -> bool:
-        """Rebuild a ledger whose objective drifted from a fresh one.
+        """Rebuild the ledger when its objective drifted from a fresh ledger's.
 
         On mixed-scale data the distances that moves between far clusters
-        add and subtract swamp the sums inside clusters.  Returns whether
-        the ledger was rebuilt.
+        add and subtract swamp the sums inside clusters.  The fresh
+        `ClusterSumLedger` sums the distance rows in a fixed order, so no
+        BLAS call, whose sums vary with its thread count, decides a move.
+        Returns whether the ledger was rebuilt.
         """
-        part = self.partition
-        dist = self.ledger.dist
-        onehot = np.eye(part.k, self.k)[part.labels]
-        within = 0.5 * (onehot * (dist @ onehot)).sum(axis=0)
-        fresh = _dispersion(within, part.sizes[: self.k])
+        fresh = ClusterSumLedger(self.partition, self.ledger.dist)
+        value = _dispersion(fresh.within[: self.k], self.partition.sizes[: self.k])
         # a rebuild cannot mend NaN or inf; the final check reports them
-        if not abs(self.within_value() - fresh) > 1e-9 * abs(fresh):
+        if not abs(self.within_value() - value) > 1e-9 * abs(value):
             return False
-        self.bind(ClusterSumLedger(part, dist))
+        self.bind(fresh)
         return True
 
     def finish(self):
@@ -444,12 +446,12 @@ def min_distance_pairs(dist, held=None) -> list:
     matching).
     """
     dist = np.asarray(dist)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise InputError(f"pairing needs a square distance matrix, got shape {dist.shape}")
     n = dist.shape[0]
     used = np.zeros(n, dtype=bool)
     if held is not None:
-        if not 0 <= held < n:
-            raise InputError(f"held-out point {held} outside 0..{n - 1}")
-        used[held] = True
+        used[check_index(held, n, "held-out point")] = True
     if (n - (held is not None)) % 2:
         raise InputError("pairing needs an even number of points besides the held-out one")
     pairs = []

@@ -10,11 +10,15 @@ import pytest
 import kgroups.harness as harness
 from kgroups import (
     Component,
+    ContingencyTable,
+    DistanceCache,
     ExperimentSpec,
     FitConfig,
     InputError,
     MixtureSpec,
+    disco,
     emit_outputs,
+    fit,
     run_experiment,
 )
 from kgroups.harness import default_alpha, design_mixture
@@ -121,6 +125,14 @@ class TestSpecValidation:
         (lambda: design_mixture("normal", n=20.7), "n"),
         (lambda: random_partition(10, 2.5, 0), "k"),
         (lambda: Partition([0, 1, 1], 2.9), "k"),
+        # label arrays: no float truncated, no bool read as 0 or 1, no 2-D array flattened
+        (lambda: Partition([0.5, 1.7, 0.2], 2), "labels"),
+        (lambda: Partition([True, False]), "labels"),
+        (lambda: Partition([[0, 1], [1, 0]]), "labels"),
+        (lambda: ContingencyTable.from_labels([0.5, 1.7, 0.2], [0, 1, 1]), "a"),
+        (lambda: disco([0.2, 0.9, 0.5, 1.1, 1.7, 1.2], DistanceCache(np.arange(6.0), 1.0)), "labels"),
+        (lambda: fit(np.arange(6.0), FitConfig(k=2, restarts=1),
+                     init_labels=[0.9, 0.1, 0.4, 1.2, 1.5, 1.9]), "labels"),
     ])
     def test_counts_are_not_truncated(self, build, field):
         with pytest.raises(InputError, match=f"^{field} must be an integer"):

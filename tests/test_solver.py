@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -186,6 +190,16 @@ class TestPairing:
             min_distance_pairs(DistanceCache(np.arange(6.0), 1.0).dist, held=2)
         with pytest.raises(InputError):
             min_distance_pairs(DistanceCache(np.arange(5.0), 1.0).dist, held=5)
+
+    @pytest.mark.parametrize("dist, held", [
+        (np.zeros((5, 5)), True),  # not read as point 1, nor as a mask of every point
+        (np.zeros((5, 5)), 1.5),
+        (np.zeros((4, 6)), None),
+        (np.arange(4.0), None),
+    ])
+    def test_ill_formed_inputs_raise_input_error(self, dist, held):
+        with pytest.raises(InputError):
+            min_distance_pairs(dist, held)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -502,6 +516,12 @@ class TestDispatcher:
         with pytest.raises(InputError):
             FitConfig(k=2, alpha=1.0, mode="lloyd")
 
+    @pytest.mark.parametrize("key", [{}, dict(mode="kmeans_alpha2", algorithm="kmeans"), dict(foo="kmeans")])
+    def test_fit_mode_takes_exactly_one_field(self, key):
+        assert solver.fit_mode(algorithm="kmeans").mode == "kmeans_alpha2"
+        with pytest.raises(InputError, match="^fit_mode takes one of the fields"):
+            solver.fit_mode(**key)
+
 
 def _two_clusters(seed, n=200):
     rng = np.random.default_rng(seed)
@@ -641,6 +661,48 @@ class TestMixedScale:
                 fit(x, cfg)
 
 
+# Fits the data saved at argv[1] and prints their labels, objectives and traces
+# and the count of re-anchor rebuilds, as JSON: floats print exactly.
+_BLAS_THREADS_SCRIPT = """
+import json, sys
+import numpy as np
+import kgroups.solver as solver
+from kgroups import FitConfig, fit
+
+rebuilds = []
+reanchor = solver._LedgerState.reanchor
+
+def counted(state):
+    rebuilds.append(reanchor(state))
+    return rebuilds[-1]
+
+solver._LedgerState.reanchor = counted
+x = np.load(sys.argv[1])
+fits = []
+for alpha in (0.5, 1.0, 1.5):
+    for seed in range(3):
+        r = fit(x, FitConfig(k=5, alpha=alpha, restarts=3, rng_seed=seed), collect_trace=True)
+        fits.append([r.partition.labels.tolist(), r.within, r.per_restart_within, r.trace])
+print(json.dumps({"fits": fits, "rebuilds": sum(rebuilds)}))
+"""
+
+
+class TestBlasThreads:
+    def test_fits_agree_under_one_and_two_threads(self, tmp_path):
+        # the mixed_scale sweep case rebuilds drifted ledgers: a rebuild
+        # decided by a threaded BLAS sum could differ between the two runs
+        x = next(x for name, x, _ in SWEEP_CASES if name == "mixed_scale")
+        np.save(tmp_path / "x.npy", x)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT, str(tmp_path / "x.npy")],
+                                  env=env, capture_output=True, text=True, check=True, timeout=120)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0]["rebuilds"] > 0
+        assert runs[0] == runs[1]
+
+
 class TestPublicSurface:
     def test_exported_names_resolve(self):
         for module in (kgroups, solver):
@@ -669,6 +731,13 @@ class TestPublicSurface:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert list(inspect.signature(ContingencyTable.from_labels).parameters) == ["a", "b"]
         assert not {"alpha", "max_passes"} & set(inspect.signature(run_dermatology).parameters)
+        # the fresh objective of a re-anchor comes from a fresh ledger, and
+        # labels are read by energy._labels alone
+        reanchor = inspect.getsource(solver._LedgerState.reanchor)
+        for call in (" @ ", "np.eye", ".dot(", "matmul", "einsum"):
+            assert call not in reanchor, call
+        for reader in (Partition.__init__, ContingencyTable.from_labels, disco):
+            assert "dtype=np.intp" not in inspect.getsource(reader), reader.__qualname__
 
     def test_uncalled_names_are_gone(self):
         import inspect
