@@ -127,9 +127,10 @@ def _dist_for(cache) -> np.ndarray:
 _BLOCK_BYTES = 1 << 18
 
 
-def _block_rows(n: int) -> int:
-    """Rows of n floats that fit in _BLOCK_BYTES, and at least one."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+def _row_blocks(dist, idx):
+    """dist[idx] as copies of consecutive rows, of _BLOCK_BYTES at most or one row."""
+    step = max(1, _BLOCK_BYTES // (dist.itemsize * dist.shape[1]))
+    return (dist[idx[s : s + step]] for s in range(0, idx.size, step))
 
 
 def dispersion(a, b, cache) -> float:
@@ -187,12 +188,13 @@ def disco(partition, cache) -> DiscoResult:
     `between` is never derived as total - within, so the identity
     total = within + between remains a meaningful consistency check.
 
-    The block sums come from one pass over each cluster's rows, a bounded
-    block of rows at a time (`_block_rows`): each block is summed against
-    its own and every later cluster into a k x k table of pair sums.  No
-    |C_i| x |C_j| block is copied whole, so the temporaries stay near
-    _BLOCK_BYTES whatever the cluster sizes: at n = 2001 the check went
-    from 41-57 to 16-22 ms under a 4 MiB mmap threshold (numpy 2.4).
+    The block sums come from one pass over each cluster's rows through
+    `_row_blocks`, the one row-block reader, which the ledger build shares:
+    each block is summed against its own and every later cluster into a
+    k x k table of pair sums.  No |C_i| x |C_j| block is copied whole, so
+    the temporaries stay near _BLOCK_BYTES whatever the cluster sizes: at
+    n = 2001 the check went from 41-57 to 16-22 ms under a 4 MiB mmap
+    threshold (numpy 2.4).
     """
     dist = _dist_for(cache)
     labels = _labels(getattr(partition, "labels", partition), "labels")
@@ -200,6 +202,8 @@ def disco(partition, cache) -> DiscoResult:
     if labels.shape[0] != n:
         raise InputError(f"partition covers {labels.shape[0]} points, cache has {n}")
     k = getattr(partition, "k", int(labels.max()) + 1)
+    if k > n:
+        raise InputError(f"k={k} clusters exceed the n={n} points")
     groups = [np.flatnonzero(labels == j) for j in range(k)]
     for j, g in enumerate(groups):
         if g.size == 0:
@@ -209,10 +213,8 @@ def disco(partition, cache) -> DiscoResult:
 
     # pair[i][j], j >= i: summed distances between clusters i and j
     pair = [[0.0] * k for _ in range(k)]
-    step = _block_rows(n)
     for i, gi in enumerate(groups):
-        for s in range(0, gi.size, step):
-            rows = dist[gi[s : s + step]]
+        for rows in _row_blocks(dist, gi):
             for j in range(i, k):
                 pair[i][j] += float(rows[:, groups[j]].sum())
 

@@ -276,9 +276,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     Fully deterministic for a fixed spec, independent of `workers`: each
     replicate derives everything from base_seed + replicate index, and
-    results are reduced in (sweep value, replicate) order.
+    results are reduced in (sweep value, replicate) order.  `workers` is an
+    integer >= 1; no more processes start than there are replicates.
     """
+    check_fields({"workers": workers}, workers=1)
     jobs = [(value, b) for value in spec.sweep_values for b in range(spec.reps)]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .energy import _block_rows, _dist_for, _labels
+from .energy import _dist_for, _labels, _row_blocks
 from .errors import InputError, RejectedMoveError, check_fields, check_index
 
 __all__ = [
@@ -39,6 +39,8 @@ class Partition:
         if k is not None:
             check_fields({"k": k}, k=1)
         kk = int(lab.max()) + 1 if k is None else int(k)
+        if kk > lab.size:
+            raise InputError(f"k={kk} clusters exceed the n={lab.size} points")
         if lab.max() >= kk:
             raise InputError(f"labels exceed cluster count k={kk}")
         sizes = np.bincount(lab, minlength=kk)
@@ -139,13 +141,13 @@ class ClusterSumLedger:
     order: sums[:, j] is (dist[:, m1] + dist[:, m2]) + dist[:, m3] + ... over
     the members m1 < m2 < ... of cluster j (tested bit for bit).  It reads
     the members' rows of the symmetric matrix, which are contiguous, in
-    blocks of a fixed byte budget (`energy._block_rows`) and sums each
-    block down the columns, adding the running sum of the blocks before
-    into the block's first row: the same values in the same order as one
-    sum over all the rows, in temporaries of 256 KiB at most (see
-    `energy._BLOCK_BYTES`): a build at n = 2001, k = 6 took 7.4-8.3 ms, and
-    34-38 ms gathering each cluster's rows whole under a 4 MiB mmap
-    threshold (numpy 2.4).
+    blocks through `energy._row_blocks`, the one row-block reader, which
+    `disco` shares.  It sums each block down the columns, adding the running
+    sum of the blocks before into the block's first row: the same values in
+    the same order as one sum over all the rows, in temporaries of 256 KiB
+    at most (`energy._BLOCK_BYTES`): a build at n = 2001, k = 6 took
+    7.4-8.3 ms, and 34-38 ms gathering each cluster's rows whole under a
+    4 MiB mmap threshold (numpy 2.4).
     After construction the ledger is kept consistent by `move_point`; a
     from-scratch rebuild must agree to 1e-10 relative (tested).
 
@@ -169,12 +171,11 @@ class ClusterSumLedger:
         self.dist = dist
         cols = np.empty((partition.k, n), dtype=np.float64)
         pair_sums = []
-        step = _block_rows(n)
         for j in range(partition.k):
             idx = partition.cluster_indices(j)
-            col = dist[idx[:step]].sum(axis=0)
-            for s in range(step, idx.size, step):
-                rows = dist[idx[s : s + step]]
+            blocks = _row_blocks(dist, idx)
+            col = next(blocks).sum(axis=0)
+            for rows in blocks:
                 rows[0] += col
                 col = rows.sum(axis=0)
             cols[j] = col

@@ -242,19 +242,17 @@ _SCREEN_BLOCK = 128
 
 
 class _Items(NamedTuple):
-    """A sweep's items: (points, spread) tuples for `visit`, the ids its trace
-    records and, for a pair `screen`, the (items, 2) points and spreads as arrays
-    (None for single points: item t is point t).  Built once per item list."""
+    """A sweep's items: (points, spread) tuples for `visit` and, for a pair
+    `screen`, the (items, 2) points and spreads as arrays (None for single
+    points: item t is point t).  Built once per item list."""
 
     items: list
-    ids: list
     points: np.ndarray | None = None
     spreads: np.ndarray | None = None
 
 
 def _point_items(n) -> _Items:
-    # single points, traced by their index
-    return _Items([((i,), 0.0) for i in range(n)], range(n))
+    return _Items([((i,), 0.0) for i in range(n)])
 
 
 class _LedgerState:
@@ -267,8 +265,9 @@ class _LedgerState:
     points of the cache.  With pairs on an odd n, one point `held` is in
     no pair: it sits alone in an extra cluster k, which the sweep never
     reads or targets (`coefs` and the objective cover clusters 0..k-1
-    only).  `finish` inserts the held point into the cluster where it costs
-    least, and with pairs rebuilds the ledger for the final objective.
+    only).  With pairs, `finish` returns the objective of the last re-anchor's
+    fresh ledger, and builds one only after inserting the held point into the
+    cluster where it costs least.
 
     `sizes` and `within` are the partition's own count list and the
     ledger's own pair-sum list, which `move_point` updates.  The visits
@@ -280,7 +279,7 @@ class _LedgerState:
 
     def __init__(self, cache, partition, items: _Items, held=None):
         self.partition = partition
-        self.items, self.ids, self.points, self.spreads = items
+        self.items, self.points, self.spreads = items
         self.pairs = items.points is not None
         self.m = 2 if self.pairs else 1
         self.held = held
@@ -351,10 +350,10 @@ class _LedgerState:
         add and subtract swamp the sums inside clusters.  The fresh
         `ClusterSumLedger` sums the distance rows in a fixed order, so no
         BLAS call, whose sums vary with its thread count, decides a move.
-        Returns whether the ledger was rebuilt.
+        Keeps the fresh objective (`fresh_within`); returns whether it rebuilt.
         """
         fresh = ClusterSumLedger(self.partition, self.ledger.dist)
-        value = _dispersion(fresh.within[: self.k], self.partition.sizes[: self.k])
+        value = self.fresh_within = _dispersion(fresh.within[: self.k], self.partition.sizes[: self.k])
         # a rebuild cannot mend NaN or inf; the final check reports them
         if not abs(self.within_value() - value) > 1e-9 * abs(value):
             return False
@@ -362,19 +361,16 @@ class _LedgerState:
         return True
 
     def finish(self):
-        part = self.partition
-        if not self.pairs:
-            return part, self.within_value()
-        dist = self.ledger.dist
-        labels = part.labels.copy()
-        if self.held is not None:
-            # summed afresh: the ledger's row of the held point adds in another order
-            row = dist[self.held]
-            cross = [float(row[labels == j].sum()) for j in range(self.k)]
-            coefs = [_cluster_coef(self.sizes[j], self.within[j], 1) for j in range(self.k)]
-            labels[self.held] = _relocation_costs(cross, coefs, 0.0, -1)[2]
+        if self.held is None:
+            return self.partition, self.fresh_within if self.pairs else self.within_value()
+        labels = self.partition.labels.copy()
+        # summed afresh: the ledger's row of the held point adds in another order
+        row = self.ledger.dist[self.held]
+        cross = [float(row[labels == j].sum()) for j in range(self.k)]
+        coefs = [_cluster_coef(self.sizes[j], self.within[j], 1) for j in range(self.k)]
+        labels[self.held] = _relocation_costs(cross, coefs, 0.0, -1)[2]
         final = Partition(labels, self.k)
-        return final, ClusterSumLedger(final, dist).within_dispersion(final)
+        return final, ClusterSumLedger(final, self.ledger.dist).within_dispersion(final)
 
 
 def _sweep(state, max_passes, trace):
@@ -386,8 +382,8 @@ def _sweep(state, max_passes, trace):
     puts its removal cost above its best insertion cost.  Once
     _SCREEN_AFTER visits in a row have moved nothing, `state.screen` jumps
     to the next item that moves; the items it skips count as visits that
-    moved nothing, so the sweep ends in the pass where visiting them would
-    end it.
+    moved nothing.  The pass loop's condition is where a pass ends: after its
+    last item, or after n_items idle visits in a row, when the sweep converged.
     """
     items, pairs = state.items, state.pairs
     n_items = len(items)
@@ -396,16 +392,17 @@ def _sweep(state, max_passes, trace):
         # bound per pass: a re-anchor binds new mirrors
         labels, rows, coefs = state.labels, state.rows, state.coefs
         t = 0
-        while t < n_items:
+        while t < n_items and still < n_items:
             if still >= _SCREEN_AFTER:
                 ahead = state.screen(t)
                 still += ahead - t
                 t = ahead
-                if still >= n_items or t == n_items:
+                if t == n_items or still >= n_items:
                     break
             pts, spread = items[t]
             a = pts[0]
             frm = labels[a]
+            still += 1
             if coefs[frm][2] is not None:
                 cross = (rows[a] + rows[pts[1]]).tolist() if pairs else rows[a].tolist()
                 removal, best, to = _relocation_costs(cross, coefs, spread, frm)
@@ -414,12 +411,7 @@ def _sweep(state, max_passes, trace):
                     moves += 1
                     still = 0
                     if trace is not None:
-                        trace.append((state.ids[t], frm, to, state.within_value()))
-                    t += 1
-                    continue
-            still += 1
-            if still >= n_items:
-                break
+                        trace.append((pts if pairs else a, frm, to, state.within_value()))
             t += 1
         passes += 1
         # a drifted ledger is rebuilt, then swept again while passes are left
@@ -484,7 +476,7 @@ def _pair_items(dist, held=None) -> _Items:
     # sweep items of second variation: closest pairs with half their distance
     pairs = min_distance_pairs(dist, held)
     spreads = [float(dist[a, b]) / 2.0 for a, b in pairs]
-    return _Items(list(zip(pairs, spreads)), pairs, np.array(pairs, dtype=np.intp), np.array(spreads))
+    return _Items(list(zip(pairs, spreads)), np.array(pairs, dtype=np.intp), np.array(spreads))
 
 
 def _pair_state(cache, k, rng, even_items) -> _LedgerState:
@@ -495,8 +487,7 @@ def _pair_state(cache, k, rng, even_items) -> _LedgerState:
     held = int(rng.integers(n)) if n % 2 else None
     items = even_items if held is None else _pair_items(cache.dist, held)
     labels = np.full(n, k, dtype=np.intp)
-    for (a, b), lab in zip(items.ids, _surjective_labels(len(items.ids), k, rng)):
-        labels[a] = labels[b] = lab
+    labels[items.points] = _surjective_labels(len(items.items), k, rng)[:, None]
     part = Partition(labels, k + (held is not None))
     return _LedgerState(cache, part, items, held)
 

@@ -196,6 +196,8 @@ class TestBenchCommand:
         ["--n", "5", "--k", "3", "--algorithms", "kgroups_second"],
         ["--sweep-param", "dim", "--sweep-values", "1,1.5"],
         ["--seed", "-1"],
+        ["--workers", "0"],
+        ["--workers", "-3"],
     ])
     def test_impossible_spec_exit_2(self, tmp_path, extra):
         base = ["bench", "--design", "normal", "--sweep-param", "separation",

@@ -200,6 +200,13 @@ class TestDisco:
         with pytest.raises(InputError):
             disco(np.array([0, 2]), cache)  # cluster 1 missing
 
+    @pytest.mark.parametrize("labels", [[0, 2], [0, 50], [9, 0]])
+    def test_labels_past_n_rejected_before_grouping(self, labels):
+        # grouping takes a pass over the labels per cluster up to the largest
+        cache = DistanceCache([[0.0], [2.0]], 1.0)
+        with pytest.raises(InputError, match=rf"k={max(labels) + 1} clusters exceed the n=2 points"):
+            disco(labels, cache)
+
     def test_within_matches_brute_force(self, rng):
         for _ in range(10):
             x, labels, _ = random_instance(rng)
@@ -228,6 +235,21 @@ class TestDisco:
         assert abs(d.total - (d.within + d.between)) <= 1e-10 * max(1.0, d.total)
         assert d.within >= 0.0
         assert d.between >= -1e-12
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("budget", [1, 8 * 29, 8 * 30, 8 * 65, 8 * 30 * 7, 1 << 18])
+    def test_blocks_join_to_the_gathered_rows(self, budget, monkeypatch):
+        # blocks are at most the budget, unless one row alone exceeds it
+        monkeypatch.setattr(kenergy, "_BLOCK_BYTES", budget)
+        gen = np.random.default_rng(budget)
+        dist = DistanceCache(gen.standard_normal((30, 2)), 1.0).dist
+        for idx in (np.arange(30), np.array([4]), np.sort(gen.choice(30, 17, replace=False))):
+            blocks = list(kenergy._row_blocks(dist, idx))
+            assert np.array_equal(np.concatenate(blocks), dist[idx])
+            for b in blocks:
+                assert b.nbytes <= max(budget, dist[0].nbytes)
+                assert b.shape[0] == 1 or b.nbytes <= budget
 
 
 class TestAlpha2Centroid:

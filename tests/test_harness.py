@@ -231,6 +231,39 @@ class TestRunExperiment:
         assert serial.table == again.table
         assert serial.table == parallel.table
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2", None])
+    def test_workers_must_be_an_integer_of_at_least_one(self, workers):
+        with pytest.raises(InputError, match="workers must be an integer >= 1"):
+            run_experiment(tiny_spec(reps=1), workers=workers)
+
+    @pytest.mark.parametrize("values, reps, workers, pool", [
+        ((3.0,), 1, 8, None), ((1.0, 3.0), 1, 64, 2), ((1.0, 3.0), 3, 4, 4), ((1.0, 3.0), 3, 1, None),
+    ])
+    def test_no_more_processes_than_replicates(self, values, reps, workers, pool, monkeypatch):
+        # a fake pool records its size and maps in this process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        spec = tiny_spec(sweep_values=values, reps=reps)
+        result = run_experiment(spec, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        serial = run_experiment(spec, workers=1)
+        assert [replace(r, runtime_s=None) for r in result.records] == \
+            [replace(r, runtime_s=None) for r in serial.records]
+
     def test_fit_failure_recorded_not_dropped(self, monkeypatch):
         calls = {"count": 0}
         real_fit = harness.fit

@@ -40,6 +40,13 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition([0, 1, 3], k=3)
 
+    @pytest.mark.parametrize("labels, k", [([0, 1], 3), ([0, 1], 50), ([0, 4], None), ([9, 0], None)])
+    def test_k_past_n_rejected_before_counting(self, labels, k):
+        # the counts would be an array of k entries
+        want = k if k is not None else max(labels) + 1
+        with pytest.raises(InputError, match=rf"k={want} clusters exceed the n=2 points"):
+            Partition(labels, k)
+
 
 class _CountingRng:
     """A Generator that counts the calls of each method."""
@@ -314,6 +321,11 @@ class TestContingency:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             ContingencyTable.from_labels(np.array([0, 1]), np.array([0, 1, 1]))
+
+    def test_sparse_labels_accepted(self):
+        # unlike a Partition, a table may have more label values than points
+        t = ContingencyTable.from_labels([0, 5], [0, 1])
+        assert t.cells.shape == (6, 2) and t.n == 2
 
     def test_table_without_points_rejected(self):
         # every index divides by n; a zero table is rejected when it is built

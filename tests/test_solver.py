@@ -938,6 +938,39 @@ class TestRowBlocks:
         assert _fit_record(x, cfg) == default
 
 
+class TestLedgerBuilds:
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
+    def test_each_restart_builds_a_ledger_at_its_start_and_its_re_anchor(self, n, mode, alpha,
+                                                                          monkeypatch):
+        # normal data, no drift rebuild: a start and a fresh ledger at the
+        # sweep's end; only a held point inserted after the sweep (odd-n
+        # second variation) needs a third, on the final labels
+        builds = []
+        inner = solver.ClusterSumLedger
+
+        def counted(partition, cache):
+            builds.append(partition.labels.copy())
+            return inner(partition, cache)
+
+        monkeypatch.setattr(solver, "ClusterSumLedger", counted)
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        for seed in range(3):
+            builds.clear()
+            result = fit(x, FitConfig(k=3, alpha=alpha, restarts=1, rng_seed=seed, mode=mode))
+            held = mode == "second_variation" and n % 2
+            assert len(builds) == (3 if held else 2)
+            assert np.array_equal(builds[-1], result.partition.labels)
+
+    def test_even_pairs_finish_on_the_re_anchor_objective(self):
+        g = np.random.default_rng(3)
+        state = _sweep_state(g.standard_normal((40, 2)), 3, 1.0, "second_variation", g)
+        solver._sweep(state, 50, None)
+        final, w = state.finish()
+        assert final is state.partition
+        assert w == ClusterSumLedger(final, state.ledger.dist).within_dispersion(final)
+
+
 SCALE_MODES = [("first_variation", 1.0), ("first_variation", 2.0), ("second_variation", 1.0),
                ("second_variation", 2.0), ("kmeans_alpha2", 2.0)]
 
