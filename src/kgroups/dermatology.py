@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +105,9 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
 
 def fetch_dermatology(dest, url=DERMATOLOGY_URL, timeout=60) -> Path:
     """Download the raw data file to `dest` (network required)."""
+    # imported here: only a download needs it, and every import of kgroups would pay for it
+    import urllib.request
+
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
     try:

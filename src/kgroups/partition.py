@@ -10,7 +10,6 @@ keeps a full relocation pass at O(n*k) instead of O(n^2 * k).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .energy import _dist_for, _labels, _row_blocks
 from .errors import InputError, RejectedMoveError, check_fields, check_index
@@ -102,6 +101,9 @@ def _surjective_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         lab = rng.integers(0, k, size=n)
         if np.bincount(lab, minlength=k).min() >= 1:
             return lab
+    # imported here: scipy.optimize adds about 11 MB to every process that imports kgroups
+    from scipy.optimize import brentq
+
     # the zero-truncated Poisson mean lam / (1 - exp(-lam)) is n / k
     lam = brentq(lambda t: t / -np.expm1(-t) - n / k, 1e-12, n / k)
     while True:

@@ -341,6 +341,17 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "bench" in proc.stdout
 
+    def test_import_leaves_heavy_modules_out(self):
+        # scipy.optimize (~11 MB resident) and urllib.request are imported only
+        # where the rare size-sampling fallback and a download need them
+        code = (
+            "import sys, kgroups, kgroups.cli; "
+            "print(sorted({'scipy.optimize', 'urllib.request'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestBenchDefect:
     def test_invariant_violation_exits_4(self, tmp_path, monkeypatch):

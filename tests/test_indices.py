@@ -15,6 +15,8 @@ from kgroups import (
     rand_index,
 )
 
+import kgroups.indices as kindices
+
 from conftest import brute_adjusted_rand, brute_rand
 
 
@@ -103,20 +105,57 @@ class TestDiag:
         assert diag_index(table(a, b)) == pytest.approx(4 / 6)
 
     def test_matches_exhaustive_permutation_search(self):
+        # Diag is the largest matched diagonal; among the matchings that reach
+        # it, Kappa takes the one with the least chance agreement.  Tables with
+        # cells in {0, 1, 2} make many matchings tie on the diagonal.
         rng = np.random.default_rng(11)
+        tables = []
         for _ in range(30):
             k = int(rng.integers(2, 7))
-            a = rng.integers(0, k, size=40)
-            b = rng.integers(0, k, size=40)
-            t = table(a, b)
+            tables.append(table(rng.integers(0, k, size=40), rng.integers(0, k, size=40)))
+        for _ in range(200):
+            side = int(rng.integers(2, 6))
+            cells = rng.integers(0, 3, size=(side, side))
+            cells[np.arange(side), rng.permutation(side)] += 1  # no empty row or column
+            tables.append(ContingencyTable(cells))
+        tied = 0
+        for t in tables:
             side = max(t.cells.shape)
             padded = np.zeros((side, side), dtype=int)
             padded[: t.cells.shape[0], : t.cells.shape[1]] = t.cells
-            best = max(
-                sum(padded[r, perm[r]] for r in range(side))
+            rows, cols = padded.sum(axis=1), padded.sum(axis=0)
+            scores = sorted(
+                (
+                    -sum(int(padded[r, perm[r]]) for r in range(side)),
+                    sum(int(rows[r] * cols[perm[r]]) for r in range(side)),
+                )
                 for perm in itertools.permutations(range(side))
             )
-            assert diag_index(t) == pytest.approx(best / t.n)
+            (least, chance), rest = scores[0], scores[1:]
+            tied += any(d == least and c != chance for d, c in rest)
+            p_o, p_e = -least / t.n, chance / t.n**2
+            assert diag_index(t) == p_o
+            assert kappa_index(t) == ((p_o - p_e) / (1.0 - p_e) if p_e != 1.0 else 1.0)
+        assert tied >= 20  # the tie-break decided kappa on many of these tables
+
+    def test_assignment_matches_scipy_optimal_total(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            s = int(rng.integers(1, 31))
+            cost = rng.integers(-int(rng.choice([2, 100, 10**6])), 10**6, size=(s, s))
+            rows = kindices._min_cost_assignment(cost.tolist())
+            assert sorted(rows) == list(range(s))
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            total = sum(int(cost[i, j]) for j, i in enumerate(rows))
+            assert total == int(cost[ref_rows, ref_cols].sum())
+
+    def test_assignment_exact_beyond_float64(self):
+        # costs above 2**53 differ by 1, which float64 cannot tell apart;
+        # the anti-diagonal is cheaper, so column 0 takes row 1 and column 1 row 0
+        big = 2**60
+        assert kindices._min_cost_assignment([[big, big + 1], [big + 1, big + 3]]) == [1, 0]
 
 
 class TestKappa:
@@ -139,6 +178,18 @@ class TestKappa:
             vals.append(kappa_index(table(a, b)))
         mean = float(np.mean(vals))
         assert 0.0 <= mean <= 0.15
+
+
+class TestIndexReport:
+    def test_one_matching_per_report(self, monkeypatch):
+        calls = []
+        matched = kindices._matched_pairs
+        monkeypatch.setattr(kindices, "_matched_pairs", lambda t: calls.append(t) or matched(t))
+        a = np.array([0, 0, 1, 1, 2])
+        b = np.array([0, 1, 1, 2, 2])
+        rep = index_report(table(a, b))
+        assert len(calls) == 1
+        assert (rep.diag, rep.kappa) == (diag_index(table(a, b)), kappa_index(table(a, b)))
 
 
 class TestInvariance:
