@@ -129,6 +129,7 @@ def _cmd_fit(args) -> int:
         "within": result.within,
         "passes": result.passes,
         "moves": result.moves,
+        "converged": result.converged,
         "seed": result.seed,
         "per_restart_within": result.per_restart_within,
         "sizes": result.partition.sizes.tolist(),
@@ -138,6 +139,9 @@ def _cmd_fit(args) -> int:
         payload["indices"] = asdict(index_report(table))
     (out / "fit.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"within={result.within!r} passes={result.passes} moves={result.moves}")
+    if not result.converged:
+        print(f"warning: the best restart stopped at max_passes={cfg.max_passes} before it converged",
+              file=sys.stderr)
     if "indices" in payload:
         print(" ".join(f"{name}={value:.4f}" for name, value in payload["indices"].items()))
     print(f"wrote {out / 'labels.csv'} and {out / 'fit.json'}")

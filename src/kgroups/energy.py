@@ -13,6 +13,7 @@ total = within + between hold to 1e-10 relative error on desk-scale inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,20 @@ def validate_alpha(alpha) -> float:
 def as_data_matrix(data) -> np.ndarray:
     """Coerce input to a finite float64 matrix of shape (n, p).
 
-    1-D input is treated as a single feature column.  NaN or infinite
-    entries are rejected.
+    1-D input is treated as a single feature column.  Real numbers (bools,
+    integers, floats, or Python objects that are `numbers.Real`) are taken
+    as they are; complex, non-numeric or ragged input, and NaN or infinite
+    entries, are rejected rather than cast.
     """
-    x = np.asarray(data, dtype=np.float64)
+    try:
+        x = np.asarray(data)
+        if x.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in x.flat):
+            raise TypeError("an entry is not a real number")
+        if x.dtype.kind not in "biufO":
+            raise TypeError(f"{x.dtype} entries")
+        x = x.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # ValueError: ragged nesting
+        raise InputError(f"data must be a rectangular array of real numbers ({exc})") from exc
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:

@@ -37,9 +37,17 @@ class ContingencyTable:
     __slots__ = ("cells", "row_sums", "col_sums", "n")
 
     def __init__(self, cells):
-        c = np.asarray(cells, dtype=np.int64)
+        # integer counts only, as `energy._labels` takes labels: no truncated
+        # floats, no bools, no ragged rows
+        try:
+            c = np.asarray(cells)
+        except ValueError as exc:
+            raise InputError(f"contingency table must be a rectangular array ({exc})") from exc
         if c.ndim != 2 or c.size == 0:
             raise InputError("contingency table must be a nonempty 2-D array")
+        if c.dtype.kind not in "iu":
+            raise InputError(f"contingency counts must be integers, got {c.dtype}")
+        c = c.astype(np.int64, copy=False)
         if c.min() < 0:
             raise InputError("contingency counts must be nonnegative")
         if not c.any():

@@ -56,11 +56,24 @@ lists, which `move_point`, the one update of both, changes once per point.
 A move refreshes its two clusters' kernel factors from them; a visit reads
 the factors, a list copy of the labels and, with one `tolist`, its item's
 distance sums through the ledger's row views (`_LedgerState`).
+
+A fit's restarts are independent, so `fit` runs them on W = min(R, usable
+CPUs) workers (`_run_restarts`): this process and W - 1 children forked once
+the cache is built, which read it copy-on-write.  Restart r runs on worker
+r mod W and the records are merged in restart order, so a fit is
+bit-identical for every W.  The restarts run in this process alone when
+R = 1, off Linux (no `os.sched_getaffinity`), with one usable CPU, inside a
+multiprocessing worker, or when n * R is below `_PARALLEL_MIN_WORK`.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -144,15 +157,18 @@ class FitResult:
     """Outcome of a fit: best partition over restarts plus run metadata.
 
     `within` is the final objective of the winning restart and must agree
-    with a from-scratch recomputation to 1e-9 relative.  `trace`, when
-    requested, holds one (item, source, target, within_after) entry per
-    accepted relocation of the winning restart.
+    with a from-scratch recomputation to 1e-9 relative.  `converged` says
+    that the winner's sweep stopped because a full round of visits moved
+    nothing, not at `max_passes`.  `trace`, when requested, holds one (item,
+    source, target, within_after) entry per accepted relocation of the
+    winning restart.
     """
 
     partition: Partition
     within: float
     passes: int
     moves: int
+    converged: bool
     seed: int
     per_restart_within: list = field(default_factory=list)
     trace: list | None = None
@@ -384,6 +400,8 @@ def _sweep(state, max_passes, trace):
     to the next item that moves; the items it skips count as visits that
     moved nothing.  The pass loop's condition is where a pass ends: after its
     last item, or after n_items idle visits in a row, when the sweep converged.
+    Returns the passes, the moves and whether it converged (not cut off by
+    max_passes, nor by it just after a re-anchor rebuilt the ledger).
     """
     items, pairs = state.items, state.pairs
     n_items = len(items)
@@ -417,7 +435,7 @@ def _sweep(state, max_passes, trace):
         # a drifted ledger is rebuilt, then swept again while passes are left
         if (still >= n_items or passes == max_passes) and state.reanchor():
             still = 0
-    return passes, moves
+    return passes, moves, still >= n_items
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +510,145 @@ def _pair_state(cache, k, rng, even_items) -> _LedgerState:
     return _LedgerState(cache, part, items, held)
 
 
+class _Restart(NamedTuple):
+    """What one restart found; `converged` as `_sweep` returns it."""
+
+    within: float
+    partition: Partition
+    passes: int
+    moves: int
+    converged: bool
+    trace: list | None
+
+
+def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
+    """Restart r of a fit: a sweep from its own random start, or from `start`
+    when r is 0 and one is given.  `items` are the sweep's items: the single
+    points, or the pairs of an even n (None: each odd-n restart pairs afresh)."""
+    rng = _restart_rng(cfg.rng_seed, r)
+    if cfg.mode == "second_variation":
+        state = _pair_state(cache, cfg.k, rng, items)
+    else:
+        part = start if r == 0 and start is not None else random_partition(cache.n, cfg.k, rng)
+        state = _LedgerState(cache, part, items)
+    trace = [] if collect_trace else None
+    passes, moves, converged = _sweep(state, cfg.max_passes, trace)
+    part, w = state.finish()
+    return _Restart(w, part, passes, moves, converged, trace)
+
+
+# A fit whose points times restarts fall below this runs its restarts in one
+# process.  Forking and reaping a worker take about 4 ms in a 130 MB process,
+# and a forked fit pays some 8 ms over its slowest worker's share.  On 2 CPUs
+# (lognormal data, k = 2 and 6, all three modes) forked fits broke even at
+# n * R = 3000, took 0.65-0.97 of the serial time at 4000, and took 1.2-1.6
+# times as long at n = 200, R = 5, a bench cell's fit.
+_PARALLEL_MIN_WORK = 4000
+
+
+def _usable_cpus() -> int:
+    # sched_getaffinity is Linux-only: elsewhere the restarts run serially
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _worker_count(restarts, n) -> int:
+    """W = min(R, usable CPUs), or 1 where forking cannot pay: one restart,
+    little work, one CPU, or a multiprocessing worker (such as a process of
+    `run_experiment`'s pool), whose siblings already use the CPUs."""
+    if restarts == 1 or n * restarts < _PARALLEL_MIN_WORK or multiprocessing.parent_process() is not None:
+        return 1
+    return min(restarts, _usable_cpus())
+
+
+def _share(job, w, restarts, workers, done, failed):
+    """Run worker w's restarts w, w + workers, ... into `done`; stop at the
+    first that raises, as the serial loop would, and file its exception."""
+    for r in range(w, restarts, workers):
+        try:
+            done[r] = job(r)
+        except Exception as exc:
+            failed[r] = exc
+            return
+
+
+def _serve(job, w, restarts, workers, write):
+    """A forked worker: run share w, pickle its records and its failure, an
+    (exception, formatted traceback) pair, into the pipe's write end and
+    leave with os._exit, whatever happens."""
+    status = 1
+    try:
+        done, failed = {}, {}
+        _share(job, w, restarts, workers, done, failed)
+        for r, exc in failed.items():
+            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive the pipe
+                exc = RuntimeError(f"restart {r} raised {exc!r}")
+            failed[r] = exc, text
+        with open(write, "wb") as fh:
+            fh.write(pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_restarts(job, restarts, n) -> list:
+    """[job(0), ..., job(restarts - 1)] run on `_worker_count` workers.
+
+    Worker 0 is this process; workers 1..W-1 are forked children, which
+    share the distance cache copy-on-write.  Restart r runs on worker
+    r mod W, and each child sends its records back through a pipe.  A
+    restart depends on its seed and index alone, so the records are those
+    of the serial loop for every W.  When restarts raise, the exception of
+    the lowest one is raised, the one the serial loop meets first.  Every
+    child is reaped before this returns, and killed first when this
+    process raised.  A share whose fork fails runs here.
+    """
+    workers = _worker_count(restarts, n)
+    mine = [0]  # the shares this process runs
+    children = []  # (pid, read end of its pipe)
+    done, failed = {}, {}
+    finished = False
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. at a process limit
+                pid = None
+                mine.append(w)
+                os.close(read)
+            if pid == 0:
+                _serve(job, w, restarts, workers, write)
+            os.close(write)
+            if pid:
+                children.append((pid, read))
+        for w in mine:
+            _share(job, w, restarts, workers, done, failed)
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                raise ChildProcessError(f"restart worker {pid} ended without its results")
+            theirs, their_failures = pickle.loads(payload)
+            done.update(theirs)
+            for r, (exc, text) in their_failures.items():
+                exc.__cause__ = ChildProcessError(f"restart {r} in worker {pid}:\n{text}")
+                failed[r] = exc
+        finished = True
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return [done[r] for r in range(restarts)]
+
+
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
     """Fit k-groups in the mode named by cfg.mode.
 
@@ -501,6 +658,12 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     partition instead of a random one (not in second variation, whose
     restarts start from random pairs).  The winner's objective must match a
     from-scratch recomputation by disco to 1e-9 relative, NaN included.
+
+    The restarts run on W = min(R, usable CPUs) processes, forked on Linux
+    once the cache is built, and in this process alone when R = 1, when
+    one CPU is usable (the affinity mask, e.g. `taskset`, sets the count),
+    inside a multiprocessing worker, or when n * R is small
+    (`_run_restarts`).  The result is bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n
@@ -523,29 +686,20 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
         if start.n != n:
             raise InputError("init_labels length does not match the data")
     cache = DistanceCache(x, cfg.alpha)
-    even_items = _pair_items(cache.dist) if pairs and n % 2 == 0 else None
-    points = None if pairs else _point_items(n)
+    if pairs:
+        items = _pair_items(cache.dist) if n % 2 == 0 else None
+    else:
+        items = _point_items(n)
 
-    results = []
-    for r in range(cfg.restarts):
-        rng = _restart_rng(cfg.rng_seed, r)
-        if pairs:
-            state = _pair_state(cache, cfg.k, rng, even_items)
-        else:
-            part = start if r == 0 and start is not None else random_partition(n, cfg.k, rng)
-            state = _LedgerState(cache, part, points)
-        trace = [] if collect_trace else None
-        passes, moves = _sweep(state, cfg.max_passes, trace)
-        part, w = state.finish()
-        results.append((w, part, passes, moves, trace))
-        # else its ledger and row views outlive it into the next start and disco
-        del state
-    w, part, passes, moves, trace = min(results, key=lambda res: res[0])
+    results = _run_restarts(
+        lambda r: _restart(r, cfg, cache, start, items, collect_trace), cfg.restarts, n
+    )
+    best = min(results, key=lambda res: res.within)
 
-    fresh = disco(part, cache).within
-    if not abs(w - fresh) <= 1e-9 * abs(fresh):
+    fresh = disco(best.partition, cache).within
+    if not abs(best.within - fresh) <= 1e-9 * abs(fresh):
         raise NumericInvariantError(
-            f"{cfg.mode} objective {w!r} disagrees with recomputation {fresh!r}"
+            f"{cfg.mode} objective {best.within!r} disagrees with recomputation {fresh!r}"
         )
-    per_restart = [res[0] for res in results]
-    return FitResult(part, w, passes, moves, cfg.rng_seed, per_restart, trace)
+    return FitResult(best.partition, best.within, best.passes, best.moves, best.converged,
+                     cfg.rng_seed, [res.within for res in results], best.trace)

@@ -112,6 +112,16 @@ class TestFitCommand:
         assert code == 0
         assert json.loads((out / "fit.json").read_text())["mode"] == "second_variation"
 
+    def test_converged_flag_and_warning(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["fit", "--input", blob_csv, "--k", "3", "--seed", "1", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "fit.json").read_text())["converged"] is True
+        assert "warning" not in capsys.readouterr().err
+        assert main([*argv, "--max-passes", "1"]) == 0
+        assert json.loads((out / "fit.json").read_text())["converged"] is False
+        assert "stopped at max_passes=1 before it converged" in capsys.readouterr().err
+
     def test_prints_the_indices_of_fit_json(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["fit", "--input", blob_csv, "--k", "3", "--out-dir", str(out)]) == 0

@@ -50,6 +50,33 @@ class TestDataMatrix:
         with pytest.raises(InputError):
             as_data_matrix(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("data", [
+        np.ones(4) * 1j,  # was cast to its real part with only a ComplexWarning
+        np.array([1.0, 2j], dtype=object),
+        ["a", "b"],
+        ["1.5", "2"],  # numeric strings were parsed
+        [1.0, None],
+        [[1, 2], [3]],  # ragged
+        [10**400, 1],  # beyond float64
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+    ])
+    def test_rejects_complex_non_numeric_and_ragged(self, data):
+        with pytest.raises(InputError, match="rectangular array of real numbers"):
+            as_data_matrix(data)
+
+    @pytest.mark.parametrize("data, values", [
+        ([True, False], [1.0, 0.0]),
+        (np.array([[1, -2]], dtype=np.int8), [1.0, -2.0]),
+        (np.float32([0.1]), [float(np.float32(0.1))]),
+        ([1, 2**70], [1.0, 2.0**70]),
+    ])
+    def test_real_numbers_are_kept(self, data, values):
+        assert as_data_matrix(data).ravel().tolist() == values
+
+    def test_float64_input_is_not_copied(self, rng):
+        x = rng.random((5, 2))
+        assert as_data_matrix(x) is x
+
 
 class TestDistanceCache:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])

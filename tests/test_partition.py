@@ -331,3 +331,17 @@ class TestContingency:
         # every index divides by n; a zero table is rejected when it is built
         with pytest.raises(InputError, match="no points"):
             ContingencyTable([[0, 0]])
+
+    @pytest.mark.parametrize("cells", [[[0.5, 1]], [[True, False]], [[np.nan, 1]], [["1", "2"]]])
+    def test_non_integer_cells_rejected(self, cells):
+        # were truncated to [[0, 1]], read as 0/1, or let numpy's ValueError out
+        with pytest.raises(InputError, match="integers"):
+            ContingencyTable(cells)
+
+    def test_ragged_cells_rejected(self):
+        with pytest.raises(InputError, match="rectangular"):
+            ContingencyTable([[1, 2], [3]])
+
+    def test_integer_cells_of_any_width_accepted(self):
+        t = ContingencyTable(np.array([[1, 2], [3, 0]], dtype=np.uint8))
+        assert t.cells.dtype == np.int64 and t.cells.tolist() == [[1, 2], [3, 0]]

@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -584,6 +587,11 @@ class TestFitDriver:
         result = fit(x, FitConfig(k=k, restarts=1))
         assert result.partition.sizes.min() >= 1
 
+    @pytest.mark.parametrize("data", [np.ones(4) * 1j, ["a", "b"], [[1, 2], [3]]])
+    def test_complex_non_numeric_or_ragged_data_rejected(self, data):
+        with pytest.raises(InputError):
+            fit(data, FitConfig(k=1))
+
     def test_second_variation_with_k_close_to_the_pair_count_finishes(self):
         # 30 pairs and a held-out point in 29 nonempty clusters
         x = np.random.default_rng(1).standard_normal((61, 2))
@@ -993,3 +1001,171 @@ class TestPowerOfTwoScale:
         assert scaled.within == base.within * factor
         assert scaled.per_restart_within == [w * factor for w in base.per_restart_within]
         assert scaled.trace == [(i, a, b, w * factor) for i, a, b, w in base.trace]
+
+
+class TestConvergence:
+    def test_a_sweep_cut_off_by_max_passes_is_not_converged(self, rng):
+        x = rng.standard_normal((60, 2)) + 4.0 * rng.integers(0, 3, (60, 1))
+        for mode, alpha in (("first_variation", 1.0), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)):
+            cut = fit(x, FitConfig(k=3, alpha=alpha, restarts=2, max_passes=1, mode=mode))
+            assert cut.passes == 1 and cut.moves > 0 and cut.converged is False
+            done = fit(x, FitConfig(k=3, alpha=alpha, restarts=2, mode=mode))
+            assert done.passes < 50 and done.converged is True
+
+    def test_a_pass_that_moves_nothing_converges_at_max_passes_one(self):
+        # k = n: every cluster is a singleton and nothing can move
+        result = fit(np.arange(5.0), FitConfig(k=5, restarts=1, max_passes=1))
+        assert (result.passes, result.moves, result.converged) == (1, 0, True)
+
+
+def _forks(monkeypatch):
+    # counts os.fork calls made in this process
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _on_workers(monkeypatch, cpus, least=0):
+    # restarts run on min(R, cpus) workers once n * R >= least
+    monkeypatch.setattr(solver, "_PARALLEL_MIN_WORK", least)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+
+
+def _everything(r):
+    return (r.partition.labels.tolist(), r.within, r.per_restart_within, r.passes, r.moves,
+            r.converged, r.trace)
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks_in_a_pool_worker(x, cfg):
+    calls = []
+    real = os.fork
+    os.fork = lambda: calls.append(1) or real()
+    try:
+        fit(x, cfg)
+    finally:
+        os.fork = real
+    return len(calls)
+
+
+PARALLEL_RUNS = [("first_variation", 0.5), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
+
+
+class TestParallelRestarts:
+    """`fit` forks min(R, usable CPUs) - 1 workers for its restarts; a fit
+    is the same whatever the count.  No test runs more than 3 processes."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("restarts", [1, 2, 5, 7])
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("mode, alpha", PARALLEL_RUNS)
+    def test_results_equal_the_serial_run(self, mode, alpha, n, restarts, workers, monkeypatch):
+        g = np.random.default_rng(n + restarts)
+        x = g.standard_normal((n, 2)) + 3.0 * g.integers(0, 3, (n, 1))
+        cfg = FitConfig(k=3, alpha=alpha, restarts=restarts, rng_seed=workers, mode=mode)
+        init = None if mode == "second_variation" else np.arange(n) % 3
+        _on_workers(monkeypatch, 1)
+        serial = _everything(fit(x, cfg, init_labels=init, collect_trace=True))
+        forks = _forks(monkeypatch)
+        _on_workers(monkeypatch, workers)
+        assert _everything(fit(x, cfg, init_labels=init, collect_trace=True)) == serial
+        assert len(forks) == min(restarts, workers) - 1
+        _assert_no_children_left()
+
+    @pytest.mark.parametrize("failing", [(1,), (2, 4), (1, 3), (0, 5), (3, 4)])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_lowest_failed_restart_raises(self, failing, workers, monkeypatch):
+        real = solver._restart
+
+        def failing_restart(r, *args):
+            if r in failing:
+                raise NumericInvariantError(f"restart {r} failed")
+            return real(r, *args)
+
+        monkeypatch.setattr(solver, "_restart", failing_restart)
+        x = np.random.default_rng(0).standard_normal((30, 2))
+        cfg = FitConfig(k=2, restarts=7)
+        _on_workers(monkeypatch, 1)
+        with pytest.raises(NumericInvariantError) as serial:
+            fit(x, cfg)
+        _on_workers(monkeypatch, workers)
+        with pytest.raises(NumericInvariantError) as parallel:
+            fit(x, cfg)
+        assert str(parallel.value) == str(serial.value) == f"restart {min(failing)} failed"
+        if min(failing) % workers:  # raised in a worker: its traceback is the cause
+            assert "in failing_restart" in str(parallel.value.__cause__)
+        _assert_no_children_left()
+
+    def test_a_worker_that_dies_is_reported_and_reaped(self, monkeypatch):
+        real = solver._restart
+        monkeypatch.setattr(solver, "_restart", lambda r, *a: os._exit(3) if r == 1 else real(r, *a))
+        _on_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="without its results"):
+            fit(np.arange(30.0), FitConfig(k=2, restarts=3))
+        _assert_no_children_left()
+
+    def test_workers_are_killed_when_this_process_raises(self, monkeypatch):
+        real = solver._restart
+
+        def restart(r, *args):
+            if r == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a worker still busy
+            return real(r, *args)
+
+        monkeypatch.setattr(solver, "_restart", restart)
+        _on_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            fit(np.arange(30.0), FitConfig(k=2, restarts=3))
+        assert time.perf_counter() - start < 30
+        _assert_no_children_left()
+
+    def test_a_share_whose_fork_fails_runs_here(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        x = np.random.default_rng(2).standard_normal((30, 2))
+        cfg = FitConfig(k=2, restarts=5)
+        serial = _everything(fit(x, cfg, collect_trace=True))
+        monkeypatch.setattr(os, "fork", no_fork)
+        _on_workers(monkeypatch, 3)
+        assert _everything(fit(x, cfg, collect_trace=True)) == serial
+
+    @pytest.mark.parametrize("cpus, restarts, least, forks", [
+        (1, 5, 0, 0),  # one usable CPU
+        (2, 1, 0, 0),  # one restart
+        (2, 5, 30 * 5 + 1, 0),  # n * R below the constant
+        (2, 5, 30 * 5, 1),  # n * R at the constant
+    ])
+    def test_serial_when_forking_cannot_pay(self, cpus, restarts, least, forks, monkeypatch):
+        calls = _forks(monkeypatch)
+        _on_workers(monkeypatch, cpus, least)
+        fit(np.arange(30.0), FitConfig(k=2, restarts=restarts))
+        assert len(calls) == forks
+
+    def test_serial_inside_a_multiprocessing_worker(self, monkeypatch):
+        _on_workers(monkeypatch, 2)  # inherited by the forked pool worker
+        x = np.random.default_rng(0).standard_normal((30, 2))
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            assert pool.submit(_forks_in_a_pool_worker, x, FitConfig(k=2, restarts=5)).result() == 0
+        assert _forks_in_a_pool_worker(x, FitConfig(k=2, restarts=5)) == 1  # here it forks
+
+    def test_no_affinity_call_means_one_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert solver._usable_cpus() == 1
+
+    def test_the_default_constant_keeps_a_bench_cell_serial(self):
+        # the benchmark's study cell: n = 200, R = 5
+        assert 200 * 5 < solver._PARALLEL_MIN_WORK
