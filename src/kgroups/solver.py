@@ -58,12 +58,12 @@ the factors, a list copy of the labels and, with one `tolist`, its item's
 distance sums through the ledger's row views (`_LedgerState`).
 
 A fit's restarts are independent, so `fit` runs them on W = min(R, usable
-CPUs) workers (`_run_restarts`): this process and W - 1 children forked once
-the cache is built, which read it copy-on-write.  Restart r runs on worker
-r mod W and the records are merged in restart order, so a fit is
-bit-identical for every W.  The restarts run in this process alone when
-R = 1, off Linux (no `os.sched_getaffinity`), with one usable CPU, inside a
-multiprocessing worker, or when n * R is below `_PARALLEL_MIN_WORK`.
+CPUs, n * R // 2000) workers (`_run_restarts`): this process and W - 1
+children forked once the cache is built, which read it copy-on-write.
+Restart r runs on worker r mod W and the records are merged in restart
+order, so a fit is bit-identical for every W.  The restarts run in this
+process alone when W is 1 (R = 1, one usable CPU or n * R < 4000), off
+Linux (no `os.sched_getaffinity`) and inside a multiprocessing worker.
 """
 
 from __future__ import annotations
@@ -537,13 +537,14 @@ def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
     return _Restart(w, part, passes, moves, converged, trace)
 
 
-# A fit whose points times restarts fall below this runs its restarts in one
-# process.  Forking and reaping a worker take about 4 ms in a 130 MB process,
-# and a forked fit pays some 8 ms over its slowest worker's share.  On 2 CPUs
+# Each worker gets at least this many points times restarts of work.  A
+# forked worker costs about 4 ms to start and reap in a 130 MB process, and a
+# forked fit pays some 8 ms over its slowest worker's share.  On 2 CPUs
 # (lognormal data, k = 2 and 6, all three modes) forked fits broke even at
 # n * R = 3000, took 0.65-0.97 of the serial time at 4000, and took 1.2-1.6
-# times as long at n = 200, R = 5, a bench cell's fit.
-_PARALLEL_MIN_WORK = 4000
+# times as long at n = 200, R = 5, a bench cell's fit.  So two workers start
+# at n * R = 4000; W > 2 has not been measured.
+_WORK_PER_WORKER = 2000
 
 
 def _usable_cpus() -> int:
@@ -553,12 +554,13 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(restarts, n) -> int:
-    """W = min(R, usable CPUs), or 1 where forking cannot pay: one restart,
-    little work, one CPU, or a multiprocessing worker (such as a process of
-    `run_experiment`'s pool), whose siblings already use the CPUs."""
-    if restarts == 1 or n * restarts < _PARALLEL_MIN_WORK or multiprocessing.parent_process() is not None:
+    """W = min(R, usable CPUs, n * R // _WORK_PER_WORKER), at least 1, so
+    each worker has work enough to pay for its fork; and 1 inside a
+    multiprocessing worker (such as a process of `run_experiment`'s pool),
+    whose siblings already use the CPUs."""
+    if multiprocessing.parent_process() is not None:
         return 1
-    return min(restarts, _usable_cpus())
+    return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER))
 
 
 def _share(job, w, restarts, workers, done, failed):
@@ -581,12 +583,7 @@ def _serve(job, w, restarts, workers, write):
         done, failed = {}, {}
         _share(job, w, restarts, workers, done, failed)
         for r, exc in failed.items():
-            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not survive the pipe
-                exc = RuntimeError(f"restart {r} raised {exc!r}")
-            failed[r] = exc, text
+            failed[r] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
         with open(write, "wb") as fh:
             fh.write(pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL))
         status = 0
@@ -659,11 +656,11 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     restarts start from random pairs).  The winner's objective must match a
     from-scratch recomputation by disco to 1e-9 relative, NaN included.
 
-    The restarts run on W = min(R, usable CPUs) processes, forked on Linux
-    once the cache is built, and in this process alone when R = 1, when
-    one CPU is usable (the affinity mask, e.g. `taskset`, sets the count),
-    inside a multiprocessing worker, or when n * R is small
-    (`_run_restarts`).  The result is bit-identical for every W.
+    The restarts run on W = min(R, usable CPUs, n * R // 2000) processes,
+    forked on Linux once the cache is built, and in this process alone when
+    W is 1 or inside a multiprocessing worker (`_run_restarts`).  The
+    affinity mask, e.g. `taskset`, sets the usable CPUs.  The result is
+    bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n

@@ -1031,9 +1031,9 @@ def _forks(monkeypatch):
     return calls
 
 
-def _on_workers(monkeypatch, cpus, least=0):
-    # restarts run on min(R, cpus) workers once n * R >= least
-    monkeypatch.setattr(solver, "_PARALLEL_MIN_WORK", least)
+def _on_workers(monkeypatch, cpus, per_worker=1):
+    # restarts run on min(R, cpus, n * R // per_worker) workers
+    monkeypatch.setattr(solver, "_WORK_PER_WORKER", per_worker)
     monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
 
 
@@ -1062,8 +1062,9 @@ PARALLEL_RUNS = [("first_variation", 0.5), ("second_variation", 1.0), ("kmeans_a
 
 
 class TestParallelRestarts:
-    """`fit` forks min(R, usable CPUs) - 1 workers for its restarts; a fit
-    is the same whatever the count.  No test runs more than 3 processes."""
+    """`fit` forks W - 1 workers for its restarts, W = min(R, usable CPUs,
+    n * R // _WORK_PER_WORKER); a fit is the same whatever W.  No test runs
+    more than 3 processes."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("restarts", [1, 2, 5, 7])
@@ -1142,15 +1143,18 @@ class TestParallelRestarts:
         _on_workers(monkeypatch, 3)
         assert _everything(fit(x, cfg, collect_trace=True)) == serial
 
-    @pytest.mark.parametrize("cpus, restarts, least, forks", [
-        (1, 5, 0, 0),  # one usable CPU
-        (2, 1, 0, 0),  # one restart
-        (2, 5, 30 * 5 + 1, 0),  # n * R below the constant
-        (2, 5, 30 * 5, 1),  # n * R at the constant
+    @pytest.mark.parametrize("cpus, restarts, per_worker, forks", [
+        (1, 5, 1, 0),  # one usable CPU
+        (2, 1, 1, 0),  # one restart
+        (2, 5, 30 * 5 // 2 + 1, 0),  # n * R too small for two workers
+        (2, 5, 30 * 5 // 2, 1),  # n * R just enough for two
+        (3, 5, 30 * 5 // 2, 1),  # three CPUs, work enough for two
+        (3, 5, 30 * 5 // 3, 2),  # and for three
     ])
-    def test_serial_when_forking_cannot_pay(self, cpus, restarts, least, forks, monkeypatch):
+    def test_the_work_and_the_cpus_set_the_worker_count(self, cpus, restarts, per_worker, forks,
+                                                        monkeypatch):
         calls = _forks(monkeypatch)
-        _on_workers(monkeypatch, cpus, least)
+        _on_workers(monkeypatch, cpus, per_worker)
         fit(np.arange(30.0), FitConfig(k=2, restarts=restarts))
         assert len(calls) == forks
 
@@ -1166,6 +1170,14 @@ class TestParallelRestarts:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert solver._usable_cpus() == 1
 
-    def test_the_default_constant_keeps_a_bench_cell_serial(self):
-        # the benchmark's study cell: n = 200, R = 5
-        assert 200 * 5 < solver._PARALLEL_MIN_WORK
+    @pytest.mark.parametrize("n, restarts, workers", [
+        (200, 5, 1),  # the benchmark's study cell
+        (200, 20, 2),
+        (358, 20, 3),  # the dermatology case study
+        (2001, 5, 5),
+        (4000, 1, 1),
+    ])
+    def test_the_default_constant_ties_the_workers_to_the_work(self, n, restarts, workers,
+                                                               monkeypatch):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 64)
+        assert solver._worker_count(restarts, n) == workers
