@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 
+# A table indexed by the label values themselves has at most this many
+# cells, 512 KiB of counts; past it the table is counted over the distinct
+# labels only.  Labels need not be 0..k-1 (`kgroups validate` reads them from
+# files), and a table sized by the largest value asked 72 MB for the labels
+# [0, 3000] and overflowed at 2^33.  The tables of partitions with up to 256
+# clusters stay on the direct count, which costs no sort.
+_DENSE_CELLS = 1 << 16
+
+
 class ContingencyTable:
     """R x C cross-tabulation of two labelings of the same n points."""
 
@@ -59,10 +68,16 @@ class ContingencyTable:
 
     @classmethod
     def from_labels(cls, a, b) -> "ContingencyTable":
+        """The table of two labelings: a row per label value 0..max(a) and a
+        column per value 0..max(b), or, past `_DENSE_CELLS` cells, a row
+        and a column per value that occurs, in increasing order."""
         av, bv = _labels(a, "a"), _labels(b, "b")
         if av.shape != bv.shape:
             raise InputError(f"label arrays differ in length: {av.size} vs {bv.size}")
         r, c = int(av.max()) + 1, int(bv.max()) + 1
+        if r * c > _DENSE_CELLS:  # rows and columns of the labels that occur, in order
+            (ua, av), (ub, bv) = np.unique(av, return_inverse=True), np.unique(bv, return_inverse=True)
+            r, c = ua.size, ub.size
         return cls(np.bincount(av * c + bv, minlength=r * c).reshape(r, c))
 
     def __repr__(self):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,33 @@ class TestIndexReport:
         rep = index_report(table(a, b))
         assert len(calls) == 1
         assert (rep.diag, rep.kappa) == (diag_index(table(a, b)), kappa_index(table(a, b)))
+
+
+class TestSparseLabels:
+    """A table is counted over the distinct labels once the label values
+    would size it past `_DENSE_CELLS` cells."""
+
+    def test_huge_labels_give_the_table_of_the_distinct_labels(self):
+        a = np.array([0, 0, 1, 1, 1, 0])
+        b = np.array([1, 0, 1, 1, 0, 0])
+        huge = table(a * 2**33, b * (2**40 + 7))
+        assert huge.cells.tolist() == table(a, b).cells.tolist() == [[2, 1], [1, 2]]
+        assert index_report(huge) == index_report(table(a, b))
+
+    def test_largest_label_does_not_size_the_table(self):
+        tracemalloc.start()
+        try:
+            t = table([0, 3000], [0, 3000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.cells.tolist() == [[1, 0], [0, 1]]
+        assert peak < 1 << 20  # the dense 3001 x 3001 table was 72 MB
+
+    def test_tables_under_the_cap_keep_every_label_value(self):
+        side = int(kindices._DENSE_CELLS**0.5)
+        assert table([0, side - 1], [0, side - 1]).cells.shape == (side, side)
+        assert table([0, side], [0, side - 1]).cells.shape == (2, 2)
 
 
 class TestInvariance:
