@@ -18,9 +18,9 @@ The fit set:
   150, 151};
 * every mode at each alpha in {0.5, 1, 1.5, 2} it allows, seeds 0 and 1,
   R = 3, traces on;
-* first variation and kmeans from `init_labels` on every data set;
-* the n = 150 and 151 fits of first variation from `init_labels` and of
-  second variation at alpha = 1 once more with their restarts on forked
+* first variation and kmeans from `init_labels` at n = 24 and 151;
+* first variation from `init_labels` at n = 151 and second variation at
+  alpha = 1, seed 0 and n = 150 once more with their restarts on forked
   workers: `solver._WORK_PER_WORKER` is set so that W is at most 3, and
   every forked child must be reaped when the fit returns.
 """
@@ -50,8 +50,8 @@ SEEDS = (0, 1)
 RUNS = [("first_variation", a) for a in (0.5, 1.0, 1.5, 2.0)]
 RUNS += [("second_variation", a) for a in (0.5, 1.0, 1.5, 2.0)]
 RUNS += [("kmeans_alpha2", 2.0)]
-FORKED_SIZES = (150, 151)
-FORKED_RUNS = ("first_variation/alpha=1.0/init_labels", "second_variation/alpha=1.0/seed=0")
+INIT_SIZES = (24, 151)
+FORKED_RUNS = ("n=151/first_variation/alpha=1.0/init_labels", "n=150/second_variation/alpha=1.0/seed=0")
 MAX_WORKERS = 3
 
 BENCH_SPEC = {"design": "lognormal", "sweep_param": "separation", "sweep_values": [1.0, 3.0],
@@ -86,6 +86,8 @@ def fit_set():
                 for seed in SEEDS:
                     cfg = FitConfig(k=k, alpha=alpha, restarts=RESTARTS, rng_seed=seed, mode=mode)
                     yield f"{kind}/n={n}/{mode}/alpha={alpha}/seed={seed}", x, cfg, None
+            if n not in INIT_SIZES:
+                continue
             init = np.arange(n) % k
             for mode, alpha in (("first_variation", 1.0), ("kmeans_alpha2", 2.0)):
                 cfg = FitConfig(k=k, alpha=alpha, restarts=RESTARTS, rng_seed=2, mode=mode)
@@ -128,7 +130,7 @@ def fit_digests() -> dict:
     """{name: digest} of every corpus fit, the forked ones named fork/..."""
     out = {name: _fit_digest(x, cfg, init) for name, x, cfg, init in fit_set()}
     for name, x, cfg, init in fit_set():
-        if x.shape[0] in FORKED_SIZES and name.endswith(FORKED_RUNS):
+        if name.endswith(FORKED_RUNS):
             with _forked_restarts(x.shape[0]):
                 out[f"fork/{name}"] = _fit_digest(x, cfg, init)
     return out
