@@ -95,7 +95,9 @@ class DistanceCache:
             dist = cdist(x, x, "euclidean")
             if self.alpha != 1.0:  # x ** 1.0 is x: a pass over n x n saved
                 dist **= self.alpha
-        if not dist.any() and (x != x[0]).any():
+        # row 0 rules the underflow out at once unless point 0 is at distance
+        # 0.0 from every point; only then is the whole matrix scanned
+        if not dist[0].any() and not dist.any() and (x != x[0]).any():
             raise NumericInvariantError("distances between distinct points all underflow to 0.0")
         dist.setflags(write=False)
         self.dist = dist
@@ -182,6 +184,24 @@ def energy_statistic(a, b, cache) -> float:
     return 2.0 * dispersion(ai, bi, cache) - g_a - g_b
 
 
+def _within_term(dist, groups, between=False):
+    """`disco`'s within term, each cluster's mean pair distance and the table
+    pair[i][j], j >= i, of summed distances between the clusters `groups`.
+
+    Each block of a cluster's rows is summed against the cluster and, only
+    when `between` is asked for, every later one: within is the same bits.
+    """
+    k = len(groups)
+    pair = [[0.0] * k for _ in range(k)]
+    for i, gi in enumerate(groups):
+        for rows in _row_blocks(dist, gi):
+            for j in range(i, k if between else i + 1):
+                pair[i][j] += float(rows[:, groups[j]].sum())
+    g_within = [pair[j][j] / (g.size * g.size) for j, g in enumerate(groups)]
+    within = sum((groups[j].size / 2.0) * g_within[j] for j in range(k))
+    return within, g_within, pair
+
+
 @dataclass(frozen=True)
 class DiscoResult:
     """Total, within-cluster, and between-cluster dispersion."""
@@ -201,11 +221,12 @@ def disco(partition, cache) -> DiscoResult:
 
     The block sums come from one pass over each cluster's rows through
     `_row_blocks`, the one row-block reader, which the ledger build shares:
-    each block is summed against its own and every later cluster into a
-    k x k table of pair sums.  No |C_i| x |C_j| block is copied whole, so
-    the temporaries stay near _BLOCK_BYTES whatever the cluster sizes: at
-    n = 2001 the check went from 41-57 to 16-22 ms under a 4 MiB mmap
-    threshold (numpy 2.4).
+    `_within_term` sums each block against its own and every later cluster
+    into a k x k table of pair sums.  No |C_i| x |C_j| block is copied
+    whole, so the temporaries stay near _BLOCK_BYTES whatever the cluster
+    sizes: at n = 2001 the decomposition went from 41-57 to 16-22 ms under
+    a 4 MiB mmap threshold (numpy 2.4).  A fit's final check calls
+    `_within_term` alone and skips the total and between terms.
     """
     dist = _dist_for(cache)
     labels = _labels(getattr(partition, "labels", partition), "labels")
@@ -221,16 +242,7 @@ def disco(partition, cache) -> DiscoResult:
             raise InputError(f"cluster {j} is empty")
 
     total = (n / 2.0) * float(dist.sum()) / (n * n)
-
-    # pair[i][j], j >= i: summed distances between clusters i and j
-    pair = [[0.0] * k for _ in range(k)]
-    for i, gi in enumerate(groups):
-        for rows in _row_blocks(dist, gi):
-            for j in range(i, k):
-                pair[i][j] += float(rows[:, groups[j]].sum())
-
-    g_within = [pair[j][j] / (g.size * g.size) for j, g in enumerate(groups)]
-    within = sum((groups[j].size / 2.0) * g_within[j] for j in range(k))
+    within, g_within, pair = _within_term(dist, groups, between=True)
 
     between = 0.0
     for i in range(k):

@@ -129,8 +129,14 @@ def random_partition(n, k, rng_seed) -> Partition:
 
 def _dispersion(within, sizes) -> float:
     """The clustering objective, sum of within[j]/n_j, its terms summed in
-    sorted order so the value is bitwise invariant under relabeling clusters."""
-    return float(np.sort(within / sizes).sum())
+    sorted order so the value is bitwise invariant under relabeling clusters.
+
+    `within` and `sizes` are lists or arrays; the terms are one float64
+    array, sorted in place and summed by numpy.
+    """
+    terms = np.divide(within, sizes)
+    terms.sort()
+    return float(terms.sum())
 
 
 class ClusterSumLedger:
@@ -174,14 +180,8 @@ class ClusterSumLedger:
         cols = np.empty((partition.k, n), dtype=np.float64)
         pair_sums = []
         for j in range(partition.k):
-            idx = partition.cluster_indices(j)
-            blocks = _row_blocks(dist, idx)
-            col = next(blocks).sum(axis=0)
-            for rows in blocks:
-                rows[0] += col
-                col = rows.sum(axis=0)
-            cols[j] = col
-            pair_sums.append(0.5 * col[idx].sum().item())
+            cols[j], pair_sum = _cluster_column(dist, partition.cluster_indices(j))
+            pair_sums.append(pair_sum)
         self.sums = cols.T
         self.pair_sums = pair_sums
         self.cols = list(cols)
@@ -192,7 +192,22 @@ class ClusterSumLedger:
 
     def within_dispersion(self, partition: Partition) -> float:
         """Current value of the clustering objective (sum of within[j]/n_j)."""
-        return _dispersion(self.within, partition.sizes)
+        return _dispersion(self.pair_sums, partition.counts)
+
+
+def _cluster_column(dist, idx):
+    """A ledger build's column of the cluster with members `idx` and its pair sum.
+
+    Sums the members' rows in blocks through `energy._row_blocks`, adding
+    the running column into the first row of the next block, so the members
+    add one after another in index order.
+    """
+    blocks = _row_blocks(dist, idx)
+    col = next(blocks).sum(axis=0)
+    for rows in blocks:
+        rows[0] += col
+        col = rows.sum(axis=0)
+    return col, 0.5 * col[idx].sum().item()
 
 
 def move_point(partition: Partition, ledger: ClusterSumLedger, i, to) -> None:

@@ -14,6 +14,9 @@ point (`fit`, which runs the mode cfg.mode names), one ledger sweep
   restart holds one random point out of its pairing; the point waits in a
   cluster of its own on the same cache and ledger, which the sweep never
   reads or targets, and is inserted by the single-point rule at the end.
+  The restart's objective is then a fresh ledger's on the final labels:
+  the last re-anchor's fresh pair sums for the clusters the point did not
+  join, and the joined cluster's summed afresh.
 * kmeans_alpha2    - first variation with alpha fixed at 2.  There the
   statistic of a point against a cluster is twice its squared distance to
   the centroid, so the sweep is Hartigan and Wong's k-means transfer.
@@ -25,12 +28,14 @@ size n1 into one of size n2 changes the objective by
 
 where xi is the two-sample energy statistic between S and the cluster
 (including S itself on the source side).  One kernel, `_relocation_costs`,
-evaluates both terms against every cluster; the single-point and pair
-sweeps, the insertion of a held-out point and `mth_variation_delta` all
-call it.  A move is applied only when this gain, as computed in floating
-point, is strictly positive.  A move whose exact gain is 0 is taken when
-rounding makes it positive, so the exact objective need not strictly
-decrease; `max_passes` bounds the search as well.  When a sweep stops, its
+evaluates both terms: the removal cost once, from the source cluster's
+factors, then the insertion cost of every other cluster in increasing id
+order, so ties go to the lowest id.  The single-point and pair sweeps, the
+insertion of a held-out point and `mth_variation_delta` all call it.  A
+move is applied only when this gain, as computed in floating point, is
+strictly positive.  A move whose exact gain is 0 is taken when rounding
+makes it positive, so the exact objective need not strictly decrease;
+`max_passes` bounds the search as well.  When a sweep stops, its
 maintained objective is checked against that of a fresh `ClusterSumLedger`,
 which is bound, and the sweep resumed, when the two drifted apart.  No BLAS
 call decides a move, so a fit is the same under every BLAS thread count.
@@ -53,9 +58,11 @@ Python, and numpy scalars were their dearest part: reading one value out
 of an array costs 100-250 ns, a list item about 20 ns (numpy 2.4).  So the
 partition keeps its cluster counts and the ledger its pair sums as Python
 lists, which `move_point`, the one update of both, changes once per point.
-A move refreshes its two clusters' kernel factors from them; a visit reads
-the factors, a list copy of the labels and, with one `tolist`, its item's
-distance sums through the ledger's row views (`_LedgerState`).
+The sweep makes each move itself: it calls `move_point` for each of the
+item's points and refreshes its two clusters' kernel factors from those
+lists.  A visit reads the factors, a list copy of the labels and, with one
+`tolist`, its item's distance sums through the ledger's row views
+(`_LedgerState`).
 
 A fit's restarts are independent, so `fit` runs them on W = min(R, usable
 CPUs, n * R // 2000) workers (`_run_restarts`): this process and W - 1
@@ -79,11 +86,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import DistanceCache, _index_set, as_data_matrix, disco, validate_alpha
+# `disco` is not called here; it stays a solver name because the traced
+# benchmark run (perfbench/spans.py) wraps kgroups.solver.disco
+from .energy import DistanceCache, _index_set, _within_term, as_data_matrix, disco, validate_alpha  # noqa: F401
 from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields, check_index
 from .partition import (
     ClusterSumLedger,
     Partition,
+    _cluster_column,
     _dispersion,
     _surjective_labels,
     move_point,
@@ -198,22 +208,26 @@ def _relocation_costs(cross, coefs, spread, frm):
     `coefs[j]` holds the `_cluster_coef` factors of C_j for sets of m
     points; `spread` is the mean distance inside S over all m*m ordered
     pairs.  S sits in cluster `frm` (-1: in none).  Returns the cost of
-    removing S from `frm`, the lowest cost of adding S to another cluster
-    and that cluster (ties keep the lowest id).  `cross` and `coefs` are
-    Python lists, like everything else a sweep visit reads (`_LedgerState`):
-    a list item costs about 20 ns to index, a numpy scalar 100-250 ns.
+    removing S from `frm` (inf for -1), the lowest cost of adding S to
+    another cluster and that cluster (ties keep the lowest id).  `cross`
+    and `coefs` are Python lists, like everything else a sweep visit reads
+    (`_LedgerState`): a list item costs about 20 ns to index, a numpy
+    scalar 100-250 ns.  The loop counts j itself: with `enumerate` a call
+    at k = 6 took about 5 % longer (CPython 3.11).
     """
     removal = best = math.inf
+    if frm >= 0:
+        mn, wterm, remove_w, _ = coefs[frm]
+        removal = remove_w * (2.0 * cross[frm] / mn - spread - wterm)
     best_j = -1
-    for j, (mn, wterm, remove_w, insert_w) in enumerate(coefs):
-        xi = 2.0 * cross[j] / mn - spread - wterm
-        if j == frm:
-            removal = remove_w * xi
-        else:
-            cost = insert_w * xi
+    j = 0
+    for mn, wterm, _, insert_w in coefs:
+        if j != frm:
+            cost = insert_w * (2.0 * cross[j] / mn - spread - wterm)
             if cost < best:
                 best = cost
                 best_j = j
+        j += 1
     return removal, best, best_j
 
 
@@ -282,15 +296,15 @@ class _LedgerState:
     no pair: it sits alone in an extra cluster k, which the sweep never
     reads or targets (`coefs` and the objective cover clusters 0..k-1
     only).  With pairs, `finish` returns the objective of the last re-anchor's
-    fresh ledger, and builds one only after inserting the held point into the
-    cluster where it costs least.
+    fresh ledger; with a held point it inserts the point first and sums
+    afresh only the cluster that it joins.
 
     `sizes` and `within` are the partition's own count list and the
     ledger's own pair-sum list, which `move_point` updates.  The visits
     also read `labels`, a list copy of the partition's labels, `rows`, the
     ledger's row views sums[i], and `coefs`, each cluster's `_cluster_coef`
-    factors: `move` keeps them equal to the state, and `bind` makes `rows`
-    and `coefs` afresh with each ledger.
+    factors: `_sweep` keeps them equal to the state as it moves items, and
+    `bind` makes `rows` and `coefs` afresh with each ledger.
     """
 
     def __init__(self, cache, partition, items: _Items, held=None):
@@ -309,14 +323,6 @@ class _LedgerState:
         self.within = ledger.pair_sums
         self.rows = list(ledger.sums)
         self.coefs = [_cluster_coef(self.sizes[j], self.within[j], self.m) for j in range(self.k)]
-
-    def move(self, pts, frm, to):
-        """Move an item's points from cluster frm to cluster to."""
-        for i in pts:
-            move_point(self.partition, self.ledger, i, to)
-            self.labels[i] = to
-        for j in (frm, to):
-            self.coefs[j] = _cluster_coef(self.sizes[j], self.within[j], self.m)
 
     def screen(self, t):
         """The first item at or after t that a visit moves, else the item count.
@@ -357,7 +363,7 @@ class _LedgerState:
     def within_value(self) -> float:
         # over clusters 0..k-1 only: a held-out term would regroup numpy's
         # sum once there are 8 or more
-        return _dispersion(self.ledger.within[: self.k], self.partition.sizes[: self.k])
+        return _dispersion(self.within[: self.k], self.sizes[: self.k])
 
     def reanchor(self) -> bool:
         """Rebuild the ledger when its objective drifted from a fresh ledger's.
@@ -366,10 +372,12 @@ class _LedgerState:
         add and subtract swamp the sums inside clusters.  The fresh
         `ClusterSumLedger` sums the distance rows in a fixed order, so no
         BLAS call, whose sums vary with its thread count, decides a move.
-        Keeps the fresh objective (`fresh_within`); returns whether it rebuilt.
+        Keeps the fresh objective (`fresh_within`) and pair sums
+        (`fresh_pair_sums`); returns whether it rebuilt.
         """
         fresh = ClusterSumLedger(self.partition, self.ledger.dist)
-        value = self.fresh_within = _dispersion(fresh.within[: self.k], self.partition.sizes[: self.k])
+        self.fresh_pair_sums = fresh.pair_sums
+        value = self.fresh_within = _dispersion(fresh.pair_sums[: self.k], self.sizes[: self.k])
         # a rebuild cannot mend NaN or inf; the final check reports them
         if not abs(self.within_value() - value) > 1e-9 * abs(value):
             return False
@@ -377,6 +385,8 @@ class _LedgerState:
         return True
 
     def finish(self):
+        """The final partition and objective: the maintained one for single
+        points, else a fresh ledger's on the final labels, bit for bit."""
         if self.held is None:
             return self.partition, self.fresh_within if self.pairs else self.within_value()
         labels = self.partition.labels.copy()
@@ -384,9 +394,12 @@ class _LedgerState:
         row = self.ledger.dist[self.held]
         cross = [float(row[labels == j].sum()) for j in range(self.k)]
         coefs = [_cluster_coef(self.sizes[j], self.within[j], 1) for j in range(self.k)]
-        labels[self.held] = _relocation_costs(cross, coefs, 0.0, -1)[2]
+        to = labels[self.held] = _relocation_costs(cross, coefs, 0.0, -1)[2]
         final = Partition(labels, self.k)
-        return final, ClusterSumLedger(final, self.ledger.dist).within_dispersion(final)
+        # the last re-anchor's fresh pair sums, but the joined cluster's afresh
+        pair_sums = self.fresh_pair_sums[: self.k]
+        pair_sums[to] = _cluster_column(self.ledger.dist, final.cluster_indices(to))[1]
+        return final, _dispersion(pair_sums, final.counts)
 
 
 def _sweep(state, max_passes, trace):
@@ -395,7 +408,8 @@ def _sweep(state, max_passes, trace):
     A visit reads the state's Python mirrors: the item's cluster, its
     summed distances to every cluster (one ledger row, or the sum of two)
     and the clusters' factors, and moves the item when `_relocation_costs`
-    puts its removal cost above its best insertion cost.  Once
+    puts its removal cost above its best insertion cost: `move_point` for
+    each of its points, then the two clusters' factors afresh.  Once
     _SCREEN_AFTER visits in a row have moved nothing, `state.screen` jumps
     to the next item that moves; the items it skips count as visits that
     moved nothing.  The pass loop's condition is where a pass ends: after its
@@ -403,12 +417,13 @@ def _sweep(state, max_passes, trace):
     Returns the passes, the moves and whether it converged (not cut off by
     max_passes, nor by it just after a re-anchor rebuilt the ledger).
     """
-    items, pairs = state.items, state.pairs
+    items, pairs, m = state.items, state.pairs, state.m
+    partition, labels, sizes = state.partition, state.labels, state.sizes
     n_items = len(items)
     passes = moves = still = 0
     while passes < max_passes and still < n_items:
-        # bound per pass: a re-anchor binds new mirrors
-        labels, rows, coefs = state.labels, state.rows, state.coefs
+        # bound per pass: a re-anchor binds a new ledger and its mirrors
+        ledger, within, rows, coefs = state.ledger, state.within, state.rows, state.coefs
         t = 0
         while t < n_items and still < n_items:
             if still >= _SCREEN_AFTER:
@@ -425,7 +440,11 @@ def _sweep(state, max_passes, trace):
                 cross = (rows[a] + rows[pts[1]]).tolist() if pairs else rows[a].tolist()
                 removal, best, to = _relocation_costs(cross, coefs, spread, frm)
                 if removal > best:
-                    state.move(pts, frm, to)
+                    for i in pts:
+                        move_point(partition, ledger, i, to)
+                        labels[i] = to
+                    coefs[frm] = _cluster_coef(sizes[frm], within[frm], m)
+                    coefs[to] = _cluster_coef(sizes[to], within[to], m)
                     moves += 1
                     still = 0
                     if trace is not None:
@@ -654,7 +673,9 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     When `init_labels` is given, the first restart starts from that
     partition instead of a random one (not in second variation, whose
     restarts start from random pairs).  The winner's objective must match a
-    from-scratch recomputation by disco to 1e-9 relative, NaN included.
+    from-scratch recomputation, the within term of `disco`
+    (`energy._within_term`), to 1e-9 relative, NaN included; the total and
+    between terms are not computed.
 
     The restarts run on W = min(R, usable CPUs, n * R // 2000) processes,
     forked on Linux once the cache is built, and in this process alone when
@@ -693,7 +714,8 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     )
     best = min(results, key=lambda res: res.within)
 
-    fresh = disco(best.partition, cache).within
+    part = best.partition
+    fresh = _within_term(cache.dist, [part.cluster_indices(j) for j in range(part.k)])[0]
     if not abs(best.within - fresh) <= 1e-9 * abs(fresh):
         raise NumericInvariantError(
             f"{cfg.mode} objective {best.within!r} disagrees with recomputation {fresh!r}"

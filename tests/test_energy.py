@@ -264,6 +264,33 @@ class TestDisco:
         assert d.between >= -1e-12
 
 
+class TestWithinTerm:
+    """The final check of a fit computes disco's within term alone."""
+
+    @pytest.mark.parametrize("block_bytes", [kenergy._BLOCK_BYTES, 1])
+    def test_equals_disco_within_bit_for_bit(self, block_bytes, monkeypatch):
+        # mixed scale (rows from 1e-8 to 1e8, two sites 1e8 apart), k <= 8,
+        # some clusters of one point
+        monkeypatch.setattr(kenergy, "_BLOCK_BYTES", block_bytes)
+        g = np.random.default_rng(block_bytes)
+        singles = 0
+        for _ in range(60):
+            n = int(g.integers(2, 80))
+            k = int(g.integers(1, min(8, n) + 1))
+            alone = int(g.integers(0, k))
+            labels = g.permutation(np.concatenate([np.arange(alone), alone + np.arange(n - alone) % (k - alone)]))
+            x = g.standard_normal((n, int(g.integers(1, 4)))) * 10.0 ** g.integers(-8, 9, (n, 1))
+            x += 1e8 * g.integers(0, 2, (n, 1))
+            groups = [np.flatnonzero(labels == j) for j in range(k)]
+            singles += alone
+            for alpha in (0.5, 1.0, 2.0):
+                cache = DistanceCache(x, alpha)
+                within = kenergy._within_term(cache.dist, groups)[0]
+                assert within == disco(labels, cache).within
+                assert type(within) is float
+        assert singles > 0
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("budget", [1, 8 * 29, 8 * 30, 8 * 65, 8 * 30 * 7, 1 << 18])
     def test_blocks_join_to_the_gathered_rows(self, budget, monkeypatch):

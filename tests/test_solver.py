@@ -936,8 +936,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [60, 61])
     @pytest.mark.parametrize("mode, alpha", SCREEN_RUNS)
     def test_one_row_blocks_give_the_default_fit(self, n, mode, alpha, monkeypatch):
-        # ledger builds (start, re-anchor and the pair sweep's `finish`) and
-        # disco read one row at a time; everything the fit reports is unchanged
+        # ledger builds (start and re-anchor), the held point's cluster in
+        # `finish` and the final within check read one row at a time;
+        # everything the fit reports is unchanged
         g = np.random.default_rng(n)
         x = g.standard_normal((n, 2)) + 2.0 * g.integers(0, 3, (n, 1))
         cfg = FitConfig(k=3, alpha=alpha, restarts=3, rng_seed=n, mode=mode)
@@ -952,8 +953,10 @@ class TestLedgerBuilds:
     def test_each_restart_builds_a_ledger_at_its_start_and_its_re_anchor(self, n, mode, alpha,
                                                                           monkeypatch):
         # normal data, no drift rebuild: a start and a fresh ledger at the
-        # sweep's end; only a held point inserted after the sweep (odd-n
-        # second variation) needs a third, on the final labels
+        # sweep's end.  A held point inserted after the sweep (odd-n second
+        # variation) joins one cluster, and only that cluster is summed
+        # afresh: the objective is still that of a fresh ledger on the final
+        # labels, bit for bit
         builds = []
         inner = solver.ClusterSumLedger
 
@@ -966,9 +969,13 @@ class TestLedgerBuilds:
         for seed in range(3):
             builds.clear()
             result = fit(x, FitConfig(k=3, alpha=alpha, restarts=1, rng_seed=seed, mode=mode))
-            held = mode == "second_variation" and n % 2
-            assert len(builds) == (3 if held else 2)
-            assert np.array_equal(builds[-1], result.partition.labels)
+            assert len(builds) == 2
+            final = result.partition
+            if mode == "second_variation" and n % 2:
+                fresh = inner(final, DistanceCache(x, alpha))
+                assert result.within == fresh.within_dispersion(final)
+            else:
+                assert np.array_equal(builds[-1], final.labels)
 
     def test_even_pairs_finish_on_the_re_anchor_objective(self):
         g = np.random.default_rng(3)
