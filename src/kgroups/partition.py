@@ -129,11 +129,8 @@ def random_partition(n, k, rng_seed) -> Partition:
 
 def _dispersion(within, sizes) -> float:
     """The clustering objective, sum of within[j]/n_j, its terms summed in
-    sorted order so the value is bitwise invariant under relabeling clusters.
-
-    `within` and `sizes` are lists or arrays; the terms are one float64
-    array, sorted in place and summed by numpy.
-    """
+    sorted order so the value is bitwise invariant under relabeling clusters;
+    `within` and `sizes` may be lists."""
     terms = np.divide(within, sizes)
     terms.sort()
     return float(terms.sum())
@@ -196,12 +193,8 @@ class ClusterSumLedger:
 
 
 def _cluster_column(dist, idx):
-    """A ledger build's column of the cluster with members `idx` and its pair sum.
-
-    Sums the members' rows in blocks through `energy._row_blocks`, adding
-    the running column into the first row of the next block, so the members
-    add one after another in index order.
-    """
+    """A build's column sums[:, j] of the cluster with members `idx`, summed
+    as `ClusterSumLedger` describes, and its pair sum within[j]."""
     blocks = _row_blocks(dist, idx)
     col = next(blocks).sum(axis=0)
     for rows in blocks:
