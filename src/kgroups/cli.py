@@ -29,6 +29,7 @@ from .harness import (
     DESIGNS,
     SWEEP_PARAMS,
     ExperimentSpec,
+    check_formats,
     csv_text,
     emit_outputs,
     run_experiment,
@@ -177,6 +178,7 @@ def _cmd_bench(args) -> int:
         spec = ExperimentSpec(**settings)
     except (TypeError, ValueError) as exc:  # a missing, unknown or mistyped field
         raise InputError(f"{args.spec or 'bench'}: {exc}") from exc
+    check_formats(**_given(args, {"formats"}))  # before any fit runs
     result = run_experiment(spec, **_given(args, {"workers"}))
     paths = emit_outputs(result, args.out_dir, **_given(args, {"formats", "prefix"}))
     for kind in sorted(paths):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_fields
+from .errors import InputError, check_fields, check_sequence
 
 __all__ = [
     "FAMILIES",
@@ -50,16 +50,14 @@ class Component:
             raise InputError(f"component weight must be positive, got {self.weight}")
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        p = tuple(float(v) for v in self.params)
+        p = check_sequence(self.params, "params", numbers=True)
         object.__setattr__(self, "params", p)
-        if len(p) != 2 or not all(np.isfinite(p)):
-            raise InputError(f"{self.family} needs two finite parameters, got {p}")
+        if len(p) != 2:
+            raise InputError(f"{self.family} needs two parameters, got {p}")
         if self.family == "normal" and p[1] < 0:
             raise InputError(f"normal scale must be >= 0, got {p[1]}")
-        if self.family == "lognormal" and p[1] <= 0:
-            raise InputError(f"lognormal scale must be > 0, got {p[1]}")
-        if self.family == "cauchy" and p[1] <= 0:
-            raise InputError(f"cauchy scale must be > 0, got {p[1]}")
+        if self.family in ("lognormal", "cauchy") and p[1] <= 0:
+            raise InputError(f"{self.family} scale must be > 0, got {p[1]}")
         if self.family == "cubic_uniform" and p[1] <= p[0]:
             raise InputError(f"cubic_uniform needs low < high, got {p}")
 
@@ -75,9 +73,9 @@ class MixtureSpec:
 
     def __post_init__(self):
         check_fields(vars(self), dim=1, n=1, seed=0)
-        comps = tuple(self.components)
-        if not comps:
-            raise InputError("mixture needs at least one component")
+        comps = check_sequence(self.components, "components")
+        if not all(isinstance(c, Component) for c in comps):
+            raise InputError(f"components must be Component records, got {comps!r}")
         object.__setattr__(self, "components", comps)
         total = sum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-9:

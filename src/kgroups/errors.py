@@ -54,6 +54,21 @@ def check_fields(fields, reals=(), **least):
             raise InputError(f"{name} must be {kind}, got {value!r}")
 
 
+def check_sequence(value, name, numbers=False, choices=None) -> tuple:
+    """`value` as a nonempty tuple, of finite floats when `numbers`, of names in
+    `choices` when given: InputError naming the field otherwise.  A bare str or
+    bytes is refused, never split into characters."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            items = tuple(map(float, value) if numbers else value)
+            if items and all(math.isfinite(v) if numbers else choices is None or v in choices for v in items):
+                return items
+        except (TypeError, ValueError):
+            pass
+    kind = " of finite numbers" * numbers + (f" of names from {choices}" if choices else "")
+    raise InputError(f"{name} must be a nonempty sequence{kind}, got {value!r}")
+
+
 def check_index(value, size, name) -> int:
     """`value` as an int in 0..size-1: InputError for a bool, a non-integer
     or an id out of range, the `check_fields` rule with an upper bound."""

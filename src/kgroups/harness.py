@@ -15,7 +15,6 @@ import io as _io
 import json
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,9 +23,9 @@ import numpy as np
 from .charts import line_chart_svg
 from .datagen import Component, MixtureSpec, generate
 from .energy import validate_alpha
-from .errors import InputError, NumericInvariantError, check_fields
+from .errors import InputError, NumericInvariantError, check_fields, check_sequence
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import FIT_MODES, fit, fit_mode
+from .solver import FIT_MODES, _run_jobs, fit, fit_mode
 
 __all__ = [
     "ALGORITHMS",
@@ -46,6 +45,7 @@ __all__ = [
 ALGORITHMS = tuple(m.algorithm for m in FIT_MODES)
 DESIGNS = ("normal", "lognormal", "cauchy", "cubic")
 SWEEP_PARAMS = ("separation", "alpha", "dim")
+FORMATS = ("csv", "json", "svg")
 
 SCHEMA_VERSION = 1
 
@@ -107,20 +107,11 @@ class ExperimentSpec:
             raise InputError(f"unknown design {self.design!r}")
         if self.sweep_param not in SWEEP_PARAMS:
             raise InputError(f"unknown sweep parameter {self.sweep_param!r}")
-        vals = tuple(float(v) for v in self.sweep_values)  # the CLI passes strings
-        for v in vals:
-            check_fields({"sweep_values": v}, ("sweep_values",))
-        if not vals:
-            raise InputError("sweep_values must be nonempty")
+        vals = check_sequence(self.sweep_values, "sweep_values", numbers=True)  # the CLI passes strings
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise InputError("sweep_values must be strictly increasing")
         object.__setattr__(self, "sweep_values", vals)
-        algos = tuple(self.algorithms)
-        if not algos:
-            raise InputError("algorithms must be nonempty")
-        unknown = [a for a in algos if a not in ALGORITHMS]
-        if unknown:
-            raise InputError(f"unknown algorithms {unknown}, expected from {ALGORITHMS}")
+        algos = check_sequence(self.algorithms, "algorithms", choices=ALGORITHMS)
         if len(set(algos)) != len(algos):
             raise InputError("algorithms must be unique")
         object.__setattr__(self, "algorithms", algos)
@@ -196,7 +187,7 @@ def _alpha_for(spec: ExperimentSpec, value: float) -> float:
 
 
 def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
-    """All algorithm scores for one replicate (picklable for worker pools)."""
+    """All algorithm scores for one replicate, one job of `run_experiment`."""
     seed = spec.base_seed + b
     sample = generate(_mixture_for(spec, value, seed))
     checksum = zlib.crc32(sample.data.tobytes())
@@ -277,24 +268,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     Fully deterministic for a fixed spec, independent of `workers`: each
     replicate derives everything from base_seed + replicate index, and
     results are reduced in (sweep value, replicate) order.  `workers` is an
-    integer >= 1; no more processes start than there are replicates.
+    integer >= 1: the replicates run on min(workers, replicates) workers of
+    `solver._run_jobs`, whose fits' restarts then run serially.
     """
     check_fields({"workers": workers}, workers=1)
     jobs = [(value, b) for value in spec.sweep_values for b in range(spec.reps)]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    _run_replicate,
-                    [spec] * len(jobs),
-                    [v for v, _ in jobs],
-                    [b for _, b in jobs],
-                    chunksize=max(1, len(jobs) // (4 * workers)),
-                )
-            )
-    else:
-        chunks = [_run_replicate(spec, v, b) for v, b in jobs]
+    chunks = _run_jobs(lambda i: _run_replicate(spec, *jobs[i]), len(jobs), min(workers, len(jobs)))
     records = [r for chunk in chunks for r in chunk]
     return ExperimentResult(spec=spec, table=_aggregate(spec, records), records=records)
 
@@ -354,19 +333,19 @@ def _svg_text(result: ExperimentResult) -> str:
     )
 
 
-def emit_outputs(result: ExperimentResult, out_dir, formats=("csv", "json", "svg"), prefix="experiment") -> dict:
+def check_formats(formats=FORMATS) -> tuple:
+    """`formats` as a tuple: InputError unless a nonempty sequence of FORMATS."""
+    return check_sequence(formats, "formats", choices=FORMATS)
+
+
+def emit_outputs(result: ExperimentResult, out_dir, formats=FORMATS, prefix="experiment") -> dict:
     """Write the experiment outputs; returns {kind: path}.
 
     Raw per-replicate scores are always persisted next to whichever formats
     were requested, and every artifact except the wall-clock timings
     sidecar is byte-identical across repeated runs of the same spec.
     """
-    formats = tuple(formats)
-    unknown = [f for f in formats if f not in ("csv", "json", "svg")]
-    if unknown:
-        raise InputError(f"unknown output formats {unknown}")
-    if not formats:
-        raise InputError("at least one output format is required")
+    formats = check_formats(formats)
     if not result.table.rows:
         raise InputError("refusing to emit an empty result table")
     records = [asdict(r) for r in result.records]

@@ -65,12 +65,11 @@ lists.  A visit reads the factors, a list copy of the labels and, with one
 (`_LedgerState`).
 
 A fit's restarts are independent, so `fit` runs them on W = min(R, usable
-CPUs, n * R // 2000) workers (`_run_restarts`): this process and W - 1
-children forked once the cache is built, which read it copy-on-write.
-Restart r runs on worker r mod W and the records are merged in restart
-order, so a fit is bit-identical for every W.  The restarts run in this
-process alone when W is 1 (R = 1, one usable CPU or n * R < 4000), off
-Linux (no `os.sched_getaffinity`) and inside a multiprocessing worker.
+CPUs, n * R // 2000) workers of `_run_jobs`, the bench's replicate runner
+too: this process and W - 1 children forked once the cache is built.
+Restart r runs on worker r mod W and the records merge in restart order, so
+a fit is bit-identical for every W.  W is 1 for R = 1, one usable CPU, n * R
+< 4000, off Linux, in a multiprocessing worker or a job of a W > 1 runner.
 """
 
 from __future__ import annotations
@@ -572,57 +571,64 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+# set while a share of a runner with W > 1 runs: a runner in its jobs is serial
+_in_share = False
+
+
 def _worker_count(restarts, n) -> int:
     """W = min(R, usable CPUs, n * R // _WORK_PER_WORKER), at least 1, so
-    each worker has work enough to pay for its fork; and 1 inside a
-    multiprocessing worker (such as a process of `run_experiment`'s pool),
-    whose siblings already use the CPUs."""
-    if multiprocessing.parent_process() is not None:
+    each worker has work enough to pay for its fork; and 1 inside a job of
+    a runner with W > 1 or inside a multiprocessing worker, whose siblings
+    already use the CPUs."""
+    if _in_share or multiprocessing.parent_process() is not None:
         return 1
     return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER))
 
 
-def _share(job, w, restarts, workers, done, failed):
-    """Run worker w's restarts w, w + workers, ... into `done`; stop at the
-    first that raises, as the serial loop would, and file its exception."""
-    for r in range(w, restarts, workers):
-        try:
-            done[r] = job(r)
-        except Exception as exc:
-            failed[r] = exc
-            return
+def _share(job, w, count, workers, done, failed):
+    """Run worker w's jobs w, w + workers, ... into `done`, with `_in_share` set
+    if workers > 1; stop at the first that raises, as the serial loop would,
+    and file its exception."""
+    global _in_share
+    outer, _in_share = _in_share, _in_share or workers > 1
+    try:
+        for i in range(w, count, workers):
+            done[i] = job(i)
+    except Exception as exc:
+        failed[i] = exc
+    finally:
+        _in_share = outer
 
 
-def _serve(job, w, restarts, workers, write):
+def _serve(job, w, count, workers, write):
     """A forked worker: run share w, pickle its records and its failure, an
     (exception, formatted traceback) pair, into the pipe's write end and
     leave with os._exit, whatever happens."""
-    status = 1
     try:
         done, failed = {}, {}
-        _share(job, w, restarts, workers, done, failed)
-        for r, exc in failed.items():
-            failed[r] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        _share(job, w, count, workers, done, failed)
+        for i, exc in failed.items():
+            failed[i] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
         with open(write, "wb") as fh:
             fh.write(pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL))
-        status = 0
+        os._exit(0)
     finally:
-        os._exit(status)
+        os._exit(1)
 
 
-def _run_restarts(job, restarts, n) -> list:
-    """[job(0), ..., job(restarts - 1)] run on `_worker_count` workers.
+def _run_jobs(job, count, workers) -> list:
+    """[job(0), ..., job(count - 1)] run on `workers` workers.
 
     Worker 0 is this process; workers 1..W-1 are forked children, which
-    share the distance cache copy-on-write.  Restart r runs on worker
-    r mod W, and each child sends its records back through a pipe.  A
-    restart depends on its seed and index alone, so the records are those
-    of the serial loop for every W.  When restarts raise, the exception of
-    the lowest one is raised, the one the serial loop meets first.  Every
-    child is reaped before this returns, and killed first when this
-    process raised.  A share whose fork fails runs here.
+    share this process's memory, e.g. a fit's distance cache,
+    copy-on-write.  Job i runs on worker i mod W, and each child sends its
+    records back through a pipe, so they must pickle.  A job depends on
+    its index alone, so the records are those of the serial loop for every
+    W.  When jobs raise, the exception of the lowest one is raised, the
+    one the serial loop meets first, with a child's traceback as its
+    cause.  Every child is reaped before this returns, and killed first
+    when this process raised.  A share whose fork fails runs here.
     """
-    workers = _worker_count(restarts, n)
     mine = [0]  # the shares this process runs
     children = []  # (pid, read end of its pipe)
     done, failed = {}, {}
@@ -637,22 +643,22 @@ def _run_restarts(job, restarts, n) -> list:
                 mine.append(w)
                 os.close(read)
             if pid == 0:
-                _serve(job, w, restarts, workers, write)
+                _serve(job, w, count, workers, write)
             os.close(write)
             if pid:
                 children.append((pid, read))
         for w in mine:
-            _share(job, w, restarts, workers, done, failed)
+            _share(job, w, count, workers, done, failed)
         for pid, read in children:
             with open(read, "rb", closefd=False) as fh:
                 payload = fh.read()
             if not payload:
-                raise ChildProcessError(f"restart worker {pid} ended without its results")
+                raise ChildProcessError(f"worker {pid} ended without its results")
             theirs, their_failures = pickle.loads(payload)
             done.update(theirs)
-            for r, (exc, text) in their_failures.items():
-                exc.__cause__ = ChildProcessError(f"restart {r} in worker {pid}:\n{text}")
-                failed[r] = exc
+            for i, (exc, text) in their_failures.items():
+                exc.__cause__ = ChildProcessError(f"job {i} in worker {pid}:\n{text}")
+                failed[i] = exc
         finished = True
     finally:
         for pid, read in children:
@@ -662,7 +668,7 @@ def _run_restarts(job, restarts, n) -> list:
             os.waitpid(pid, 0)
     if failed:
         raise failed[min(failed)]
-    return [done[r] for r in range(restarts)]
+    return [done[i] for i in range(count)]
 
 
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
@@ -677,11 +683,11 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     (`energy._within_term`), to 1e-9 relative, NaN included; the total and
     between terms are not computed.
 
-    The restarts run on W = min(R, usable CPUs, n * R // 2000) processes,
-    forked on Linux once the cache is built, and in this process alone when
-    W is 1 or inside a multiprocessing worker (`_run_restarts`).  The
-    affinity mask, e.g. `taskset`, sets the usable CPUs.  The result is
-    bit-identical for every W.
+    The restarts run on W = min(R, usable CPUs, n * R // 2000) processes
+    (`_run_jobs`), forked on Linux once the cache is built, and in this
+    process alone when W is 1, inside a job of a runner with W > 1 or
+    inside a multiprocessing worker.  The affinity mask, e.g. `taskset`,
+    sets the usable CPUs.  The result is bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n
@@ -709,9 +715,8 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     else:
         items = _point_items(n)
 
-    results = _run_restarts(
-        lambda r: _restart(r, cfg, cache, start, items, collect_trace), cfg.restarts, n
-    )
+    results = _run_jobs(lambda r: _restart(r, cfg, cache, start, items, collect_trace),
+                        cfg.restarts, _worker_count(cfg.restarts, n))
     best = min(results, key=lambda res: res.within)
 
     part = best.partition

@@ -190,6 +190,19 @@ class TestBenchCommand:
         assert code == 0
         assert (out / "experiment_table.csv").exists()
 
+    def test_unknown_format_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        import kgroups.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "fit", lambda *a, **kw: calls.append(a))
+        code = main(["bench", "--design", "normal", "--sweep-param", "separation",
+                     "--sweep-values", "3.0", "--reps", "2", "--n", "20",
+                     "--out-dir", str(tmp_path / "bench"), "--format", "xml"])
+        assert code == 2
+        assert "input error: formats must be a nonempty sequence of names" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "bench").exists()
+
     def test_incomplete_flags_exit_2(self):
         assert main(["bench", "--design", "normal"]) == 2
 
@@ -235,6 +248,8 @@ class TestBenchCommand:
         ({"sweep_values": [1, float("nan")]}, "sweep_values"),
         ({"restarts": 0}, "restarts"),
         ({"dim": 0}, "dim"),
+        ({"sweep_values": "35"}, "sweep_values"),  # not the sweep (3.0, 5.0)
+        ({"algorithms": "kmeans"}, "algorithms"),
     ])
     def test_bad_spec_field_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, settings, field):
         import kgroups.harness as harness
@@ -353,10 +368,11 @@ class TestConsoleScript:
 
     def test_import_leaves_heavy_modules_out(self):
         # scipy.optimize (~11 MB resident) and urllib.request are imported only
-        # where the rare size-sampling fallback and a download need them
+        # where the rare size-sampling fallback and a download need them; the
+        # stdlib process pool not at all: jobs run on the solver's fork runner
         code = (
-            "import sys, kgroups, kgroups.cli; "
-            "print(sorted({'scipy.optimize', 'urllib.request'} & set(sys.modules)))"
+            "import sys, kgroups, kgroups.cli; print(sorted("
+            "{'scipy.optimize', 'urllib.request', 'concurrent.futures.process'} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -29,6 +29,21 @@ class TestValidation:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Component(1.0, "normal", None), "params"),
+        (lambda: Component(1.0, "normal", ("a", 1)), "params"),
+        (lambda: Component(1.0, "normal", "12"), "params"),  # not (1.0, 2.0)
+        (lambda: Component(1.0, "normal", 5), "params"),
+        (lambda: MixtureSpec(components=5, dim=1, n=10, seed=0), "components"),
+        (lambda: MixtureSpec(components=(1,), dim=1, n=10, seed=0), "components"),
+        (lambda: MixtureSpec(components="ab", dim=1, n=10, seed=0), "components"),
+        (lambda: MixtureSpec(components=(Component(1.0, "normal", (0, 1)), None), dim=1, n=10, seed=0),
+         "components"),
+    ])
+    def test_ill_typed_sequence_fields_raise_input_error(self, build, field):
+        with pytest.raises(InputError, match=f"^{field} must be"):
+            build()
+
     def test_lognormal_scale_must_be_positive(self):
         with pytest.raises(InputError):
             Component(1.0, "lognormal", (0.0, 0.0))

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import typing
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import kgroups.harness as harness
+import kgroups.solver as solver
 from kgroups import (
     Component,
     ContingencyTable,
@@ -16,6 +18,7 @@ from kgroups import (
     FitConfig,
     InputError,
     MixtureSpec,
+    NumericInvariantError,
     disco,
     emit_outputs,
     fit,
@@ -23,6 +26,7 @@ from kgroups import (
 )
 from kgroups.harness import default_alpha, design_mixture
 from kgroups.partition import Partition, random_partition
+from test_solver import _assert_no_children_left, _forks, _on_workers
 
 
 def tiny_spec(**overrides):
@@ -93,6 +97,21 @@ class TestSpecValidation:
             tiny_spec(algorithms=("kgroups_second",), n=5, k=3)
         tiny_spec(algorithms=("kgroups_second",), n=6, k=3)
         tiny_spec(n=5, k=3)  # the single-point modes can fit it
+
+    @pytest.mark.parametrize("settings, field", [
+        (dict(sweep_values="35"), "sweep_values"),  # not the sweep (3.0, 5.0)
+        (dict(sweep_values=b"12"), "sweep_values"),  # not (49.0, 50.0)
+        (dict(sweep_values=3.0), "sweep_values"),
+        (dict(sweep_values=None), "sweep_values"),
+        (dict(sweep_values=(1.0, "x")), "sweep_values"),
+        (dict(sweep_values=(1.0, None)), "sweep_values"),
+        (dict(algorithms="kmeans"), "algorithms"),
+        (dict(algorithms=None), "algorithms"),
+        (dict(algorithms=3), "algorithms"),
+    ])
+    def test_ill_typed_sequence_fields_raise_input_error(self, settings, field):
+        with pytest.raises(InputError, match=f"^{field} must be a nonempty sequence"):
+            tiny_spec(**settings)
 
     @pytest.mark.parametrize("values", [(1, 1.5), (0, 1), (1, float("inf"))])
     def test_dim_sweep_values_must_be_positive_integers(self, values):
@@ -236,33 +255,58 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="workers must be an integer >= 1"):
             run_experiment(tiny_spec(reps=1), workers=workers)
 
-    @pytest.mark.parametrize("values, reps, workers, pool", [
-        ((3.0,), 1, 8, None), ((1.0, 3.0), 1, 64, 2), ((1.0, 3.0), 3, 4, 4), ((1.0, 3.0), 3, 1, None),
+    @pytest.mark.parametrize("values, reps, workers, forks", [
+        ((3.0,), 1, 8, 0), ((1.0, 3.0), 1, 64, 1), ((1.0, 3.0), 3, 4, 3), ((1.0, 3.0), 3, 1, 0),
     ])
-    def test_no_more_processes_than_replicates(self, values, reps, workers, pool, monkeypatch):
-        # a fake pool records its size and maps in this process
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    def test_no_more_processes_than_replicates(self, values, reps, workers, forks, monkeypatch):
+        # min(workers, replicates) workers: this process and forked children
         spec = tiny_spec(sweep_values=values, reps=reps)
-        result = run_experiment(spec, workers=workers)
-        assert sizes == ([] if pool is None else [pool])
         serial = run_experiment(spec, workers=1)
+        calls = _forks(monkeypatch)
+        result = run_experiment(spec, workers=workers)
+        assert len(calls) == forks
         assert [replace(r, runtime_s=None) for r in result.records] == \
             [replace(r, runtime_s=None) for r in serial.records]
+        _assert_no_children_left()
+
+    def test_fits_inside_forked_replicates_run_serially(self, tmp_path, monkeypatch):
+        # forks counted in this process and in its children, one line per fork
+        log = tmp_path / "forks"
+        real = os.fork
+
+        def counted():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        # each fit alone would run its restarts on two workers: n * R = 4000
+        _on_workers(monkeypatch, 2, solver._WORK_PER_WORKER)
+        spec = tiny_spec(sweep_values=(3.0,), reps=2, n=800, restarts=5)
+        parallel = run_experiment(spec, workers=2)
+        assert log.read_text().splitlines() == [str(os.getpid())]
+        log.unlink()
+        serial = run_experiment(spec, workers=1)
+        assert log.read_text().splitlines() == [str(os.getpid())] * len(serial.records)
+        assert [replace(r, runtime_s=None) for r in parallel.records] == \
+            [replace(r, runtime_s=None) for r in serial.records]
+        _assert_no_children_left()
+
+    def test_a_defect_in_a_forked_replicate_reaches_the_caller(self, monkeypatch):
+        real_fit = harness.fit
+        spec = tiny_spec(sweep_values=(3.0,), reps=2)
+
+        def broken_fit(data, cfg):
+            if cfg.rng_seed == spec.base_seed + 1:  # replicate 1: the child's share
+                raise NumericInvariantError("injected objective mismatch")
+            return real_fit(data, cfg)
+
+        monkeypatch.setattr(harness, "fit", broken_fit)
+        with pytest.raises(NumericInvariantError, match="injected objective mismatch") as raised:
+            run_experiment(spec, workers=2)
+        assert isinstance(raised.value.__cause__, ChildProcessError)
+        assert "in broken_fit" in str(raised.value.__cause__)
+        _assert_no_children_left()
 
     def test_fit_failure_recorded_not_dropped(self, monkeypatch):
         calls = {"count": 0}
