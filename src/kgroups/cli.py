@@ -23,9 +23,8 @@ from .dermatology import (
     load_dermatology,
     run_dermatology,
 )
-from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError
+from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError, check_sequence
 from .harness import (
-    ALGORITHMS,
     DESIGNS,
     SWEEP_PARAMS,
     ExperimentSpec,
@@ -35,7 +34,7 @@ from .harness import (
     run_experiment,
 )
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import FitConfig, fit, fit_mode
+from .solver import ALGORITHMS, FitConfig, fit, fit_config
 
 
 def _add_fit(sub):
@@ -45,8 +44,7 @@ def _add_fit(sub):
     p.add_argument("--input", required=True, help="input CSV (optional header)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--alpha", type=float, help="distance exponent in (0,2]")
-    p.add_argument("--mode", choices=ALGORITHMS,
-                   default=fit_mode(mode=FitConfig.mode).algorithm)
+    p.add_argument("--mode", choices=ALGORITHMS, default="kgroups_first")
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-passes", type=int)
     p.add_argument("--seed", type=int, dest="rng_seed", metavar="SEED")
@@ -90,7 +88,7 @@ def _add_dermatology(sub):
     p.add_argument("--fetch", action="store_true", help="download the file first")
     p.add_argument("--url", default=DERMATOLOGY_URL)
     p.add_argument("--sha256", default=None, help="expected content hash")
-    p.add_argument("--algorithms", type=_parse_list, default=ALGORITHMS)
+    p.add_argument("--algorithms", type=_parse_list, default=tuple(ALGORITHMS))
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None, help="also write a CSV/JSON report here")
@@ -118,7 +116,7 @@ def _given(args, names) -> dict:
 def _cmd_fit(args) -> int:
     x, truth = kio.read_data_csv(args.input, truth_last=args.truth_last)
     settings = _given(args, {f.name for f in fields(FitConfig)})
-    cfg = fit_mode(algorithm=settings.pop("mode")).config(**settings)
+    cfg = fit_config(settings.pop("mode"), **settings)
     result = fit(x, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,6 +185,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dermatology(args) -> int:
+    check_sequence(args.algorithms, "algorithms", choices=ALGORITHMS)  # before any fit
     path = Path(args.path) if args.path else find_dermatology()
     if args.fetch:
         dest = path if path is not None else Path("data/dermatology.data")

@@ -19,7 +19,8 @@ import numpy as np
 from .datagen import LabeledSample
 from .errors import IngestionError
 from .indices import ContingencyTable, index_report
-from .solver import fit, fit_mode
+from .io import compact_labels
+from .solver import fit, fit_config
 
 __all__ = [
     "DERMATOLOGY_URL",
@@ -65,7 +66,6 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
 
     rows = []
     classes = []
-    kept = 0
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -86,9 +86,8 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
             raise IngestionError(f"{path}: row {ln} has class {cls}, expected >= 1")
         rows.append(values)
         classes.append(cls)
-        kept += 1
-    if kept < 2:
-        raise IngestionError(f"{path}: only {kept} usable rows")
+    if len(rows) < 2:
+        raise IngestionError(f"{path}: only {len(rows)} usable rows")
 
     x = np.asarray(rows, dtype=np.float64)
     mean = x.mean(axis=0)
@@ -99,8 +98,7 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
             f"{path}: column {int(flat[0]) + 1} is constant and cannot be standardized"
         )
     z = (x - mean) / sd
-    _, truth = np.unique(np.asarray(classes), return_inverse=True)
-    return LabeledSample(data=z, truth=truth.astype(np.intp))
+    return LabeledSample(data=z, truth=compact_labels(classes))
 
 
 def fetch_dermatology(dest, url=DERMATOLOGY_URL, timeout=60) -> Path:
@@ -134,9 +132,7 @@ def run_dermatology(sample: LabeledSample, algorithms, restarts, seed) -> dict:
     k = int(np.max(sample.truth)) + 1
     reports = {}
     for algorithm in algorithms:
-        cfg = fit_mode(algorithm=algorithm).config(
-            k=k, alpha=1.0, restarts=restarts, rng_seed=seed
-        )
+        cfg = fit_config(algorithm, k=k, alpha=1.0, restarts=restarts, rng_seed=seed)
         result = fit(sample.data, cfg)
         table = ContingencyTable.from_labels(sample.truth, result.partition.labels)
         reports[algorithm] = index_report(table)

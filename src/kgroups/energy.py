@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InputError, NumericInvariantError
+from .errors import InputError, NumericInvariantError, check_fields
 
 __all__ = [
     "validate_alpha",
@@ -37,10 +37,12 @@ def validate_alpha(alpha) -> float:
 
     The open lower bound keeps fractional powers well defined; 2 is admitted
     so the squared-distance (k-means) special case lives in the same code
-    path.
+    path.  A non-number, a bool or a non-finite value raises InputError as
+    in `check_fields`.
     """
+    check_fields({"alpha": alpha}, ("alpha",))
     a = float(alpha)
-    if not 0.0 < a <= 2.0:  # also rejects NaN
+    if not 0.0 < a <= 2.0:
         raise InputError(f"alpha must be in (0, 2], got {alpha!r}")
     return a
 

@@ -57,15 +57,18 @@ def check_fields(fields, reals=(), **least):
 def check_sequence(value, name, numbers=False, choices=None) -> tuple:
     """`value` as a nonempty tuple, of finite floats when `numbers`, of names in
     `choices` when given: InputError naming the field otherwise.  A bare str or
-    bytes is refused, never split into characters."""
+    bytes is refused, never split into characters, and so is a bool among
+    numbers; a numeric string is read as its number."""
     if not isinstance(value, (str, bytes, bytearray)):
         try:
-            items = tuple(map(float, value) if numbers else value)
+            items = tuple(value)
+            if numbers:
+                items = () if any(isinstance(v, bool) for v in items) else tuple(map(float, items))
             if items and all(math.isfinite(v) if numbers else choices is None or v in choices for v in items):
                 return items
         except (TypeError, ValueError):
             pass
-    kind = " of finite numbers" * numbers + (f" of names from {choices}" if choices else "")
+    kind = " of finite numbers" * numbers + (f" of names from {tuple(choices)}" if choices else "")
     raise InputError(f"{name} must be a nonempty sequence{kind}, got {value!r}")
 
 

@@ -15,7 +15,7 @@ import io as _io
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +25,21 @@ from .datagen import Component, MixtureSpec, generate
 from .energy import validate_alpha
 from .errors import InputError, NumericInvariantError, check_fields, check_sequence
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import FIT_MODES, _run_jobs, fit, fit_mode
+from .solver import ALGORITHMS, _run_jobs, fit, fit_config
 
 __all__ = [
-    "ALGORITHMS",
     "DESIGNS",
     "SWEEP_PARAMS",
     "default_alpha",
     "design_mixture",
     "ExperimentSpec",
     "ReplicateRecord",
-    "ResultTable",
     "ExperimentResult",
     "run_experiment",
     "emit_outputs",
     "csv_text",
 ]
 
-ALGORITHMS = tuple(m.algorithm for m in FIT_MODES)
 DESIGNS = ("normal", "lognormal", "cauchy", "cubic")
 SWEEP_PARAMS = ("separation", "alpha", "dim")
 FORMATS = ("csv", "json", "svg")
@@ -89,7 +86,7 @@ class ExperimentSpec:
     design: str
     sweep_param: str
     sweep_values: tuple
-    algorithms: tuple = ALGORITHMS
+    algorithms: tuple = tuple(ALGORITHMS)
     reps: int = 100
     base_seed: int = 0
     n: int = 200
@@ -101,8 +98,7 @@ class ExperimentSpec:
     max_passes: int = 50
 
     def __post_init__(self):
-        reals = ("separation",) if self.alpha is None else ("separation", "alpha")
-        check_fields(vars(self), reals, reps=1, n=1, k=1, dim=1, restarts=1, max_passes=1, base_seed=0)
+        check_fields(vars(self), ("separation",), reps=1, n=1, k=1, dim=1, restarts=1, max_passes=1, base_seed=0)
         if self.design not in DESIGNS:
             raise InputError(f"unknown design {self.design!r}")
         if self.sweep_param not in SWEEP_PARAMS:
@@ -125,12 +121,6 @@ class ExperimentSpec:
         if "kgroups_second" in algos and self.k > self.n // 2:
             raise InputError(f"kgroups_second needs k <= n // 2 = {self.n // 2}, got {self.k}")
 
-    def meta(self) -> dict:
-        d = asdict(self)
-        d["sweep_values"] = list(self.sweep_values)
-        d["algorithms"] = list(self.algorithms)
-        return d
-
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -151,18 +141,12 @@ class ReplicateRecord:
 
 
 @dataclass
-class ResultTable:
-    """Aggregated index means and standard errors per (algorithm, sweep value)."""
-
-    meta: dict
-    rows: list
-
-
-@dataclass
 class ExperimentResult:
+    """A spec, its index means and standard errors per (algorithm, sweep value), its raw records."""
+
     spec: ExperimentSpec
-    table: ResultTable
-    records: list = field(default_factory=list)
+    rows: list
+    records: list
 
 
 def _mixture_for(spec: ExperimentSpec, value: float, seed: int) -> MixtureSpec:
@@ -178,7 +162,7 @@ def _mixture_for(spec: ExperimentSpec, value: float, seed: int) -> MixtureSpec:
 
 
 def _alpha_for(spec: ExperimentSpec, value: float) -> float:
-    # the k-groups exponent; FitMode.config overrides it where fixed at 2
+    # the k-groups exponent; fit_config overrides it where fixed at 2
     if spec.sweep_param == "alpha":
         return value
     if spec.alpha is not None:
@@ -193,13 +177,8 @@ def _run_replicate(spec: ExperimentSpec, value: float, b: int) -> list:
     checksum = zlib.crc32(sample.data.tobytes())
     records = []
     for algorithm in spec.algorithms:
-        cfg = fit_mode(algorithm=algorithm).config(
-            k=spec.k,
-            alpha=_alpha_for(spec, value),
-            restarts=spec.restarts,
-            max_passes=spec.max_passes,
-            rng_seed=seed,
-        )
+        cfg = fit_config(algorithm, k=spec.k, alpha=_alpha_for(spec, value), restarts=spec.restarts,
+                         max_passes=spec.max_passes, rng_seed=seed)
         scores = dict.fromkeys(INDEX_NAMES)  # None on a failed cell
         error = ""
         start = time.perf_counter()
@@ -239,7 +218,7 @@ def _mean_se(values):
     return mean, se
 
 
-def _aggregate(spec: ExperimentSpec, records: list) -> ResultTable:
+def _aggregate(spec: ExperimentSpec, records: list) -> list:
     rows = []
     for value in spec.sweep_values:
         for algorithm in spec.algorithms:
@@ -257,9 +236,7 @@ def _aggregate(spec: ExperimentSpec, records: list) -> ResultTable:
                 row[f"{name}_mean"] = mean
                 row[f"{name}_se"] = se
             rows.append(row)
-    meta = spec.meta()
-    meta["schema_version"] = SCHEMA_VERSION
-    return ResultTable(meta=meta, rows=rows)
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -275,7 +252,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     jobs = [(value, b) for value in spec.sweep_values for b in range(spec.reps)]
     chunks = _run_jobs(lambda i: _run_replicate(spec, *jobs[i]), len(jobs), min(workers, len(jobs)))
     records = [r for chunk in chunks for r in chunk]
-    return ExperimentResult(spec=spec, table=_aggregate(spec, records), records=records)
+    return ExperimentResult(spec=spec, rows=_aggregate(spec, records), records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +282,11 @@ def csv_text(rows, columns, head="") -> str:
     return buf.getvalue()
 
 
-def _json_text(result: ExperimentResult, records: list) -> str:
+def _json_text(meta: dict, rows: list, records: list) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "meta": result.table.meta,
-        "rows": result.table.rows,
+        "meta": meta,
+        "rows": rows,
         "raw": [{c: r[c] for c in RAW_COLUMNS} for r in records],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -320,7 +297,7 @@ def _svg_text(result: ExperimentResult) -> str:
     series = []
     for algorithm in spec.algorithms:
         xs, ys = [], []
-        for row in result.table.rows:
+        for row in result.rows:
             if row["algorithm"] == algorithm and row["crand_mean"] is not None:
                 xs.append(row["sweep_value"])
                 ys.append(row["crand_mean"])
@@ -346,16 +323,17 @@ def emit_outputs(result: ExperimentResult, out_dir, formats=FORMATS, prefix="exp
     sidecar is byte-identical across repeated runs of the same spec.
     """
     formats = check_formats(formats)
-    if not result.table.rows:
+    if not result.rows:
         raise InputError("refusing to emit an empty result table")
     records = [asdict(r) for r in result.records]
-    meta_line = "#meta=" + json.dumps(result.table.meta, sort_keys=True) + "\n"
+    meta = {**asdict(result.spec), "schema_version": SCHEMA_VERSION}
+    meta_line = "#meta=" + json.dumps(meta, sort_keys=True) + "\n"
     # kind: (file name, text); the raw scores and the timings are always written
     artifacts = {
         "raw": (f"{prefix}_replicates.csv", lambda: csv_text(records, RAW_COLUMNS)),
         "timings": (f"{prefix}_timings.csv", lambda: csv_text(records, TIMING_COLUMNS)),
-        "csv": (f"{prefix}_table.csv", lambda: csv_text(result.table.rows, TABLE_COLUMNS, meta_line)),
-        "json": (f"{prefix}.json", lambda: _json_text(result, records)),
+        "csv": (f"{prefix}_table.csv", lambda: csv_text(result.rows, TABLE_COLUMNS, meta_line)),
+        "json": (f"{prefix}.json", lambda: _json_text(meta, result.rows, records)),
         "svg": (f"{prefix}_crand.svg", lambda: _svg_text(result)),
     }
     out = Path(out_dir)

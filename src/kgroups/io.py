@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
+    "compact_labels",
     "read_data_csv",
     "read_labels_csv",
     "write_labels_csv",
@@ -31,6 +32,11 @@ def _is_float(tok: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def compact_labels(values) -> np.ndarray:
+    """Integer label codes as 0..k-1 in sorted code order, an intp array."""
+    return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.intp)
 
 
 def _read_rows(path) -> list:
@@ -95,13 +101,7 @@ def read_data_csv(path, truth_last=False):
         data.append(vals)
 
     x = np.asarray(data, dtype=np.float64)
-    truth = None
-    if label_col is not None:
-        raw = np.asarray(labels, dtype=np.intp)
-        # normalize arbitrary integer codes to 0..k-1 in sorted order
-        _, truth = np.unique(raw, return_inverse=True)
-        truth = truth.astype(np.intp)
-    return x, truth
+    return x, None if label_col is None else compact_labels(labels)
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -119,9 +119,7 @@ def read_labels_csv(path) -> np.ndarray:
         if not _is_float(tok) or not float(tok).is_integer():
             raise InputError(f"{path}: bad label {tok!r} at row {rn}")
         vals.append(int(float(tok)))
-    raw = np.asarray(vals, dtype=np.intp)
-    _, norm = np.unique(raw, return_inverse=True)
-    return norm.astype(np.intp)
+    return compact_labels(vals)
 
 
 def write_labels_csv(path, labels) -> None:

@@ -1,8 +1,8 @@
 """K-groups fitting by local relocation search.
 
-Three fit modes, each listed once in `FIT_MODES` under its `FitConfig.mode`
-name and the algorithm name the harness and the CLI use, share one entry
-point (`fit`, which runs the mode cfg.mode names), one ledger sweep
+Three fit modes, each listed once in `ALGORITHMS`, which maps the algorithm
+name the harness and the CLI use to the `FitConfig.mode` name, share one
+entry point (`fit`, which runs the mode cfg.mode names), one ledger sweep
 (`_LedgerState`) and the n x n distance cache:
 
 * first_variation  - move one point at a time; a point is relocated when the
@@ -100,8 +100,8 @@ from .partition import (
 )
 
 __all__ = [
-    "FIT_MODES",
-    "fit_mode",
+    "ALGORITHMS",
+    "fit_config",
     "FitConfig",
     "FitResult",
     "mth_variation_delta",
@@ -110,37 +110,17 @@ __all__ = [
 ]
 
 
-class FitMode(NamedTuple):
-    """One fit mode under the name each layer knows it by."""
-
-    mode: str  # FitConfig.mode
-    algorithm: str  # harness, dermatology and `kgroups fit --mode` name
-    alpha2: bool  # the exponent is fixed at 2
-
-    def config(self, **settings) -> FitConfig:
-        """A FitConfig for this mode; `alpha` is set to 2 when fixed there."""
-        if self.alpha2:
-            settings["alpha"] = 2.0
-        return FitConfig(mode=self.mode, **settings)
+# algorithm name (harness, dermatology, `kgroups fit --mode`) -> FitConfig.mode
+ALGORITHMS = {"kgroups_first": "first_variation", "kgroups_second": "second_variation", "kmeans": "kmeans_alpha2"}
 
 
-FIT_MODES = (
-    FitMode("first_variation", "kgroups_first", False),
-    FitMode("second_variation", "kgroups_second", False),
-    FitMode("kmeans_alpha2", "kmeans", True),
-)
-
-
-def fit_mode(**key) -> FitMode:
-    """The FIT_MODES entry matching one field, e.g. fit_mode(algorithm="kmeans")."""
-    if len(key) != 1 or not key.keys() <= set(FitMode._fields):
-        raise InputError(f"fit_mode takes one of the fields {FitMode._fields}, got {tuple(key)}")
-    ((attr, value),) = key.items()
-    for m in FIT_MODES:
-        if getattr(m, attr) == value:
-            return m
-    choices = tuple(getattr(m, attr) for m in FIT_MODES)
-    raise InputError(f"{attr} must be one of {choices}, got {value!r}")
+def fit_config(algorithm, **settings) -> FitConfig:
+    """A FitConfig for the mode `algorithm` names; kmeans sets alpha to 2."""
+    if algorithm not in tuple(ALGORITHMS):  # compared, not hashed: a list is refused too
+        raise InputError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
+    if algorithm == "kmeans":
+        settings["alpha"] = 2.0
+    return FitConfig(mode=ALGORITHMS[algorithm], **settings)
 
 
 @dataclass(frozen=True)
@@ -155,9 +135,11 @@ class FitConfig:
     mode: str = "first_variation"
 
     def __post_init__(self):
-        check_fields(vars(self), ("alpha",), k=1, restarts=1, max_passes=1, rng_seed=0)
+        check_fields(vars(self), k=1, restarts=1, max_passes=1, rng_seed=0)
         validate_alpha(self.alpha)
-        if fit_mode(mode=self.mode).alpha2 and self.alpha != 2.0:
+        if self.mode not in ALGORITHMS.values():
+            raise InputError(f"mode must be one of {tuple(ALGORITHMS.values())}, got {self.mode!r}")
+        if self.mode == "kmeans_alpha2" and self.alpha != 2.0:
             raise InputError(f"{self.mode} requires alpha=2")
 
 

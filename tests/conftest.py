@@ -276,6 +276,21 @@ def brute_adjusted_rand(a, b):
     return num / den
 
 
+def all_partitions(n):
+    """Every set partition of range(n), as canonical label vectors."""
+    out = []
+
+    def grow(prefix, k):
+        if len(prefix) == n:
+            out.append(np.array(prefix, dtype=np.intp))
+            return
+        for lab in range(k + 1):
+            grow(prefix + [lab], k + 1 if lab == k else k)
+
+    grow([], 0)
+    return out
+
+
 def random_instance(rng, n_lo=8, n_hi=40, p_hi=3, k_hi=4):
     """Random data plus a valid partition with every cluster nonempty."""
     n = int(rng.integers(n_lo, n_hi + 1))

@@ -30,7 +30,7 @@ from kgroups import (
 from kgroups.dermatology import find_dermatology, load_dermatology, run_dermatology
 from kgroups.indices import ContingencyTable
 
-from conftest import brute_within, random_instance
+from conftest import all_partitions, brute_within, random_instance
 
 WORKERS = 2
 ALPHA_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -44,7 +44,7 @@ def report(cid, ok, detail):
 def crand_by_algorithm(result, value):
     return {
         row["algorithm"]: row["crand_mean"]
-        for row in result.table.rows
+        for row in result.rows
         if row["sweep_value"] == value
     }
 
@@ -374,20 +374,6 @@ def test_criterion_9b_seed_determinism_byte_identical():
     )
 
 
-def _all_partitions(n):
-    out = []
-
-    def grow(prefix, k):
-        if len(prefix) == n:
-            out.append(np.array(prefix, dtype=np.intp))
-            return
-        for lab in range(k + 1):
-            grow(prefix + [lab], k + 1 if lab == k else k)
-
-    grow([], 0)
-    return out
-
-
 def _pair_mask(labels):
     mask = 0
     bit = 0
@@ -407,7 +393,7 @@ def test_criterion_9c_index_brute_force_equivalence():
     checked = 0
     worst = 0.0
     for n in range(2, 8):
-        parts = _all_partitions(n)
+        parts = all_partitions(n)
         masks = [_pair_mask(p) for p in parts]
         total = n * (n - 1) // 2
         for i, a in enumerate(parts):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgroups.cli import build_parser, main
-from kgroups.harness import ALGORITHMS
+from kgroups.solver import ALGORITHMS
 from kgroups.io import read_data_csv, read_labels_csv, write_labels_csv
 
 
@@ -134,7 +134,7 @@ class TestFitCommand:
     def test_mode_choices_are_the_algorithm_names(self):
         (subparsers,) = build_parser()._subparsers._group_actions
         (mode,) = [a for a in subparsers.choices["fit"]._actions if a.dest == "mode"]
-        assert tuple(mode.choices) == ALGORITHMS
+        assert tuple(mode.choices) == tuple(ALGORITHMS)
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "none.csv"), "--k", "2"]) == 2
@@ -324,6 +324,19 @@ class TestDermatologyCommand:
         assert (out / "dermatology.csv").exists()
         text = capsys.readouterr().out
         assert "kmeans" in text
+
+    def test_unknown_algorithm_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        import kgroups.dermatology as dermatology
+        from test_dermatology import make_fixture
+
+        calls = []
+        inner = dermatology.fit
+        monkeypatch.setattr(dermatology, "fit", lambda *a, **kw: calls.append(a) or inner(*a, **kw))
+        f = make_fixture(tmp_path / "derm.data", n_rows=60, n_missing_age=1)
+        for path in (f, tmp_path / "absent.data"):  # checked before the file is read
+            assert main(["dermatology", "--path", str(path), "--algorithms", "kgroups_first,foo"]) == 2
+            assert "input error: algorithms must be" in capsys.readouterr().err
+        assert calls == []
 
     def test_report_rows_and_files(self, tmp_path, capsys):
         from test_dermatology import make_fixture

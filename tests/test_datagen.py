@@ -34,6 +34,7 @@ class TestValidation:
         (lambda: Component(1.0, "normal", ("a", 1)), "params"),
         (lambda: Component(1.0, "normal", "12"), "params"),  # not (1.0, 2.0)
         (lambda: Component(1.0, "normal", 5), "params"),
+        (lambda: Component(1.0, "normal", (True, False)), "params"),  # not (1.0, 0.0)
         (lambda: MixtureSpec(components=5, dim=1, n=10, seed=0), "components"),
         (lambda: MixtureSpec(components=(1,), dim=1, n=10, seed=0), "components"),
         (lambda: MixtureSpec(components="ab", dim=1, n=10, seed=0), "components"),

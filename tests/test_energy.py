@@ -28,6 +28,13 @@ class TestAlphaDistance:
         with pytest.raises(InputError):
             validate_alpha(bad)
 
+    @pytest.mark.parametrize("bad", ["abc", None, [1], True, float("inf")])
+    def test_non_numbers_raise_input_error(self, bad):
+        with pytest.raises(InputError, match="^alpha must be a finite number, got "):
+            validate_alpha(bad)
+        with pytest.raises(InputError, match="^alpha must be a finite number, got "):
+            DistanceCache(np.zeros((2, 1)), bad)
+
     def test_alpha_bounds_accepted(self):
         assert validate_alpha(2.0) == 2.0
         assert validate_alpha(1e-9) == 1e-9

@@ -105,6 +105,7 @@ class TestSpecValidation:
         (dict(sweep_values=None), "sweep_values"),
         (dict(sweep_values=(1.0, "x")), "sweep_values"),
         (dict(sweep_values=(1.0, None)), "sweep_values"),
+        (dict(sweep_values=(True, 3.0)), "sweep_values"),  # not the sweep (1.0, 3.0)
         (dict(algorithms="kmeans"), "algorithms"),
         (dict(algorithms=None), "algorithms"),
         (dict(algorithms=3), "algorithms"),
@@ -200,9 +201,9 @@ class TestRunExperiment:
     def test_table_shape_and_raw_persistence(self):
         spec = tiny_spec()
         result = run_experiment(spec)
-        assert len(result.table.rows) == len(spec.sweep_values) * len(spec.algorithms)
+        assert len(result.rows) == len(spec.sweep_values) * len(spec.algorithms)
         assert len(result.records) == len(spec.sweep_values) * len(spec.algorithms) * spec.reps
-        for row in result.table.rows:
+        for row in result.rows:
             assert row["failures"] == 0
             assert -1.0 <= row["crand_mean"] <= 1.0
             assert row["crand_se"] >= 0.0
@@ -217,7 +218,7 @@ class TestRunExperiment:
     def test_aggregate_matches_recomputation_from_raw(self):
         spec = tiny_spec()
         result = run_experiment(spec)
-        for row in result.table.rows:
+        for row in result.rows:
             vals = [
                 r.crand
                 for r in result.records
@@ -232,7 +233,7 @@ class TestRunExperiment:
 
     def test_single_replicate_marks_se_undefined(self):
         result = run_experiment(tiny_spec(reps=1))
-        for row in result.table.rows:
+        for row in result.rows:
             assert row["crand_se"] is None
             assert row["crand_mean"] is not None
 
@@ -247,8 +248,8 @@ class TestRunExperiment:
 
         assert scores(serial) == scores(again)
         assert scores(serial) == scores(parallel)
-        assert serial.table == again.table
-        assert serial.table == parallel.table
+        assert serial.rows == again.rows
+        assert serial.rows == parallel.rows
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2", None])
     def test_workers_must_be_an_integer_of_at_least_one(self, workers):
@@ -326,7 +327,7 @@ class TestRunExperiment:
         assert "synthetic failure" in failed[0].error
         assert failed[0].crand is None
         assert all((r.runtime_s is None) == r.failed for r in result.records)
-        assert sum(row["failures"] for row in result.table.rows) == 1
+        assert sum(row["failures"] for row in result.rows) == 1
 
     def test_scoring_failure_has_no_runtime(self, monkeypatch):
         calls = {"count": 0}
@@ -351,7 +352,7 @@ class TestRunExperiment:
             design="normal", sweep_param="alpha", sweep_values=(0.5, 1.0), reps=2
         )
         result = run_experiment(spec)
-        assert len(result.table.rows) == 4
+        assert len(result.rows) == 4
 
 
 class TestEmission:
@@ -381,8 +382,10 @@ class TestEmission:
         result = run_experiment(tiny_spec())
         paths = emit_outputs(result, tmp_path, formats=("csv", "json"))
         payload = json.loads(paths["json"].read_text())
-        assert payload["meta"] == result.table.meta
-        assert payload["rows"] == result.table.rows
+        meta = dict(payload["meta"])
+        assert meta.pop("schema_version") == harness.SCHEMA_VERSION
+        assert ExperimentSpec(**meta) == result.spec
+        assert payload["rows"] == result.rows
         meta_line, *table_lines = paths["csv"].read_text().splitlines()
         assert json.loads(meta_line.removeprefix("#meta=")) == payload["meta"]
         assert_csv_matches(table_lines, harness.TABLE_COLUMNS, payload["rows"])

@@ -18,7 +18,7 @@ from kgroups import (
 
 import kgroups.indices as kindices
 
-from conftest import brute_adjusted_rand, brute_rand
+from conftest import all_partitions, brute_adjusted_rand, brute_rand
 
 
 def table(a, b):
@@ -249,26 +249,10 @@ class TestInvariance:
             assert -1.0 <= rep.kappa <= 1.0
 
 
-def _all_partitions(n):
-    """Every set partition of range(n), as canonical label vectors."""
-    out = []
-
-    def grow(prefix, k):
-        i = len(prefix)
-        if i == n:
-            out.append(np.array(prefix, dtype=np.intp))
-            return
-        for lab in range(k + 1):
-            grow(prefix + [lab], k + 1 if lab == k else k)
-
-    grow([], 0)
-    return out
-
-
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exhaustive_small_n(self, n):
-        parts = _all_partitions(n)
+        parts = all_partitions(n)
         for a in parts:
             for b in parts:
                 t = table(a, b)
@@ -278,7 +262,7 @@ class TestBruteForceEquivalence:
                 )
 
     def test_identical_iff_crand_one(self):
-        parts = _all_partitions(5)
+        parts = all_partitions(5)
         for a in parts:
             for b in parts:
                 same = np.array_equal(a, b)  # canonical form: equality == same partition

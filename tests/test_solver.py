@@ -519,11 +519,12 @@ class TestDispatcher:
         with pytest.raises(InputError):
             FitConfig(k=2, alpha=1.0, mode="lloyd")
 
-    @pytest.mark.parametrize("key", [{}, dict(mode="kmeans_alpha2", algorithm="kmeans"), dict(foo="kmeans")])
-    def test_fit_mode_takes_exactly_one_field(self, key):
-        assert solver.fit_mode(algorithm="kmeans").mode == "kmeans_alpha2"
-        with pytest.raises(InputError, match="^fit_mode takes one of the fields"):
-            solver.fit_mode(**key)
+    @pytest.mark.parametrize("name", ["lloyd", "first_variation", None, ["kmeans"]])
+    def test_fit_config_takes_an_algorithm_name(self, name):
+        assert solver.fit_config("kmeans", k=2, alpha=1.0) == FitConfig(k=2, alpha=2.0, mode="kmeans_alpha2")
+        assert solver.fit_config("kgroups_second", k=2, alpha=0.5) == FitConfig(k=2, alpha=0.5, mode="second_variation")
+        with pytest.raises(InputError, match="^algorithm must be one of"):
+            solver.fit_config(name, k=2)
 
 
 def _two_clusters(seed, n=200):
@@ -751,6 +752,7 @@ class TestPublicSurface:
         import inspect
 
         import kgroups.energy as energy
+        import kgroups.harness as harness
         import kgroups.io as kio
         import kgroups.partition as partition
         from kgroups.charts import line_chart_svg
@@ -758,7 +760,10 @@ class TestPublicSurface:
         gone = ((kgroups, "alpha_distance"), (energy, "alpha_distance"),
                 (kgroups, "weighted_energy_statistic"), (energy, "weighted_energy_statistic"),
                 (kgroups, "move_points"), (solver, "move_points"),
-                (kio, "write_sample_csv"), (Partition, "copy"), (partition, "_as_rng"))
+                (kio, "write_sample_csv"), (Partition, "copy"), (partition, "_as_rng"),
+                (kgroups, "FIT_MODES"), (solver, "FIT_MODES"), (kgroups, "fit_mode"), (solver, "fit_mode"),
+                (solver, "FitMode"), (kgroups, "ResultTable"), (harness, "ResultTable"),
+                (harness.ExperimentSpec, "meta"))
         for owner, name in gone:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
