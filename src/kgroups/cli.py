@@ -23,7 +23,7 @@ from .dermatology import (
     load_dermatology,
     run_dermatology,
 )
-from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError, check_sequence
+from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError
 from .harness import (
     DESIGNS,
     SWEEP_PARAMS,
@@ -34,7 +34,7 @@ from .harness import (
     run_experiment,
 )
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import ALGORITHMS, FitConfig, fit, fit_config
+from .solver import ALGORITHMS, FitConfig, _check_algorithms, fit, fit_config
 
 
 def _add_fit(sub):
@@ -185,7 +185,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dermatology(args) -> int:
-    check_sequence(args.algorithms, "algorithms", choices=ALGORITHMS)  # before any fit
+    _check_algorithms(args.algorithms)  # before the data file is read
     path = Path(args.path) if args.path else find_dermatology()
     if args.fetch:
         dest = path if path is not None else Path("data/dermatology.data")

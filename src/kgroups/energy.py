@@ -13,7 +13,9 @@ total = within + between hold to 1e-10 relative error on desk-scale inputs.
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +83,26 @@ class DistanceCache:
 
     Built once per data set and then shared read-only by every statistic and
     by the solver; the matrix is write-protected after construction.  One
-    `cdist` call fills it in place: (i, j) and (j, i) are computed alike, so
-    symmetry is exact, the diagonal is exactly zero, and each entry equals
-    the `pdist` one bit for bit (tested).  Distinct points whose distances
+    `cdist` call fills it in place, into `out` when given (a C-contiguous
+    float64 (n, n) array, as cdist's own `out`; `fit` passes a shared memory
+    mapping that its workers map too): (i, j) and (j, i) are computed
+    alike, so symmetry is exact, the diagonal is exactly zero, and each
+    entry equals the `pdist` one bit for bit (tested).
+
+    Data whose column spans could overflow a float64 sum raise InputError
+    before `cdist` runs (`_check_range`).  Distinct points whose distances
     all underflow to 0.0 raise NumericInvariantError.
     """
 
-    def __init__(self, data, alpha):
+    def __init__(self, data, alpha, *, out=None):
         self.alpha = validate_alpha(alpha)
         x = as_data_matrix(data)
         self.n = x.shape[0]
+        _check_range(x, self.alpha)
         if self.alpha == 2.0:
-            dist = cdist(x, x, "sqeuclidean")
+            dist = cdist(x, x, "sqeuclidean", out=out)
         else:
-            dist = cdist(x, x, "euclidean")
+            dist = cdist(x, x, "euclidean", out=out)
             if self.alpha != 1.0:  # x ** 1.0 is x: a pass over n x n saved
                 dist **= self.alpha
         # row 0 rules the underflow out at once unless point 0 is at distance
@@ -106,6 +114,28 @@ class DistanceCache:
 
     def __repr__(self):
         return f"DistanceCache(n={self.n}, alpha={self.alpha})"
+
+
+# log2 of the float64 range, less 2 bits for the doubling and halving the
+# sweep applies to its sums
+_LOG2_RANGE = math.log2(sys.float_info.max) - 2
+
+
+def _check_range(x, alpha):
+    """InputError unless the distances of `x` and every sum a fit forms stay
+    finite.  No distance exceeds D = sqrt(p) * (largest column span), cdist
+    adds up to p squared coordinate differences (at most D^2), and the
+    largest sum, a cluster's pair sum, adds at most n^2 powered distances
+    (at most n^2 * D^alpha).  O(n * p), from the halved spans, which cannot
+    overflow."""
+    n, p = x.shape
+    half = float((x.max(axis=0) / 2 - x.min(axis=0) / 2).max())
+    if half == 0.0:
+        return
+    log_d = 1.0 + math.log2(half) + math.log2(p) / 2
+    if 2 * log_d > _LOG2_RANGE or alpha * log_d + 2 * math.log2(n) > _LOG2_RANGE:
+        raise InputError(f"data span too wide: distances up to 2^{log_d:.0f} overflow float64 sums "
+                         f"over {n} points at alpha={alpha}")
 
 
 def _labels(idx, name: str) -> np.ndarray:

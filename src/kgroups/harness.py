@@ -25,7 +25,7 @@ from .datagen import Component, MixtureSpec, generate
 from .energy import validate_alpha
 from .errors import InputError, NumericInvariantError, check_fields, check_sequence
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import ALGORITHMS, _run_jobs, fit, fit_config
+from .solver import ALGORITHMS, _check_algorithms, _hire, _run_jobs, fit, fit_config
 
 __all__ = [
     "DESIGNS",
@@ -107,10 +107,7 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise InputError("sweep_values must be strictly increasing")
         object.__setattr__(self, "sweep_values", vals)
-        algos = check_sequence(self.algorithms, "algorithms", choices=ALGORITHMS)
-        if len(set(algos)) != len(algos):
-            raise InputError("algorithms must be unique")
-        object.__setattr__(self, "algorithms", algos)
+        object.__setattr__(self, "algorithms", _check_algorithms(self.algorithms))
         alphas = vals if self.sweep_param == "alpha" else ()
         for a in alphas if self.alpha is None else (*alphas, self.alpha):
             validate_alpha(a)
@@ -118,7 +115,7 @@ class ExperimentSpec:
             raise InputError(f"dim sweep values must be integers >= 1, got {vals}")
         if self.k > self.n:
             raise InputError(f"k must lie in 1..n = {self.n}, got {self.k}")
-        if "kgroups_second" in algos and self.k > self.n // 2:
+        if "kgroups_second" in self.algorithms and self.k > self.n // 2:
             raise InputError(f"kgroups_second needs k <= n // 2 = {self.n // 2}, got {self.k}")
 
 
@@ -239,18 +236,26 @@ def _aggregate(spec: ExperimentSpec, records: list) -> list:
     return rows
 
 
+def _replicates(spec: ExperimentSpec):
+    """The job of `run_experiment`: job i is replicate i of the (sweep value,
+    replicate) grid in order."""
+    grid = [(value, b) for value in spec.sweep_values for b in range(spec.reps)]
+    return lambda i: _run_replicate(spec, *grid[i])
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run the full sweep x replicate grid and aggregate the scores.
 
     Fully deterministic for a fixed spec, independent of `workers`: each
     replicate derives everything from base_seed + replicate index, and
     results are reduced in (sweep value, replicate) order.  `workers` is an
-    integer >= 1: the replicates run on min(workers, replicates) workers of
-    `solver._run_jobs`, whose fits' restarts then run serially.
+    integer >= 1: the replicates run on min(workers, replicates) processes,
+    this one and warm workers of `solver._run_jobs`, whose fits' restarts
+    then run serially.
     """
     check_fields({"workers": workers}, workers=1)
-    jobs = [(value, b) for value in spec.sweep_values for b in range(spec.reps)]
-    chunks = _run_jobs(lambda i: _run_replicate(spec, *jobs[i]), len(jobs), min(workers, len(jobs)))
+    count = len(spec.sweep_values) * spec.reps
+    chunks = _run_jobs(_replicates, (spec,), count, _hire(min(workers, count)))
     records = [r for chunk in chunks for r in chunk]
     return ExperimentResult(spec=spec, rows=_aggregate(spec, records), records=records)
 

@@ -65,21 +65,39 @@ lists.  A visit reads the factors, a list copy of the labels and, with one
 (`_LedgerState`).
 
 A fit's restarts are independent, so `fit` runs them on W = min(R, usable
-CPUs, n * R // 2000) workers of `_run_jobs`, the bench's replicate runner
-too: this process and W - 1 children forked once the cache is built.
-Restart r runs on worker r mod W and the records merge in restart order, so
-a fit is bit-identical for every W.  W is 1 for R = 1, one usable CPU, n * R
-< 4000, off Linux, in a multiprocessing worker or a job of a W > 1 runner.
+CPUs, n * R // 500) processes of `_run_jobs`, the bench's replicate runner
+too: this process and W - 1 warm workers.  A worker is forked the first
+time a call wants it, before the fit builds its cache, kept for later
+calls, and killed and reaped at exit or after any failure.  A restart job
+reaches a worker as one small pickled message: the restart ids, the
+FitConfig, the start labels and the even-n pairs.  The cache's matrix is
+built in place into a shared memory file (`_shared_matrix`), and the
+message carries the file's descriptor, which the worker maps read-only:
+nothing is rebuilt or copied.  Before each job the worker moves itself to
+the usable CPUs other than the caller's current one; the caller's own mask
+is never changed.  Restart r runs on worker r mod W and the records merge
+in restart order, so a fit is bit-identical for every W.  W is 1 for R = 1,
+one usable CPU, n * R < 1000, off Linux, in a multiprocessing worker, in a
+job of a W > 1 runner and while another thread uses the workers.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import ctypes
+import io
 import math
+import mmap
 import multiprocessing
 import os
 import pickle
 import signal
+import socket
+import struct
+import threading
 import traceback
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -88,7 +106,7 @@ import numpy as np
 # `disco` is not called here; it stays a solver name because the traced
 # benchmark run (perfbench/spans.py) wraps kgroups.solver.disco
 from .energy import DistanceCache, _index_set, _within_term, as_data_matrix, disco, validate_alpha  # noqa: F401
-from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields, check_index
+from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields, check_index, check_sequence
 from .partition import (
     ClusterSumLedger,
     Partition,
@@ -121,6 +139,14 @@ def fit_config(algorithm, **settings) -> FitConfig:
     if algorithm == "kmeans":
         settings["alpha"] = 2.0
     return FitConfig(mode=ALGORITHMS[algorithm], **settings)
+
+
+def _check_algorithms(algorithms) -> tuple:
+    """`algorithms` as a tuple of distinct names from ALGORITHMS, else InputError."""
+    names = check_sequence(algorithms, "algorithms", choices=ALGORITHMS)
+    if len(set(names)) != len(names):
+        raise InputError("algorithms must be unique")
+    return names
 
 
 @dataclass(frozen=True)
@@ -490,11 +516,13 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def _pair_items(dist, held=None) -> _Items:
-    # sweep items of second variation: closest pairs with half their distance
-    pairs = min_distance_pairs(dist, held)
-    spreads = [float(dist[a, b]) / 2.0 for a, b in pairs]
-    return _Items(list(zip(pairs, spreads)), np.array(pairs, dtype=np.intp), np.array(spreads))
+def _pair_items(dist, held=None, pairs=None) -> _Items:
+    # sweep items of second variation: the closest pairs (`pairs`, an
+    # (items, 2) array, when already found) with half their distance
+    if pairs is None:
+        pairs = np.array(min_distance_pairs(dist, held), dtype=np.intp)
+    spreads = dist[pairs[:, 0], pairs[:, 1]] / 2.0
+    return _Items(list(zip(map(tuple, pairs.tolist()), spreads.tolist())), pairs, spreads)
 
 
 def _pair_state(cache, k, rng, even_items) -> _LedgerState:
@@ -537,120 +565,326 @@ def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
     return _Restart(w, part, passes, moves, converged, trace)
 
 
-# Each worker gets at least this many points times restarts of work.  A
-# forked worker costs about 4 ms to start and reap in a 130 MB process, and a
-# forked fit pays some 8 ms over its slowest worker's share.  On 2 CPUs
-# (lognormal data, k = 2 and 6, all three modes) forked fits broke even at
-# n * R = 3000, took 0.65-0.97 of the serial time at 4000, and took 1.2-1.6
-# times as long at n = 200, R = 5, a bench cell's fit.  So two workers start
-# at n * R = 4000; W > 2 has not been measured.
-_WORK_PER_WORKER = 2000
+# Each worker gets at least this many points times restarts of work.  A job
+# reaches a warm worker in one message, a round trip of about 0.1 ms, where
+# forking a worker and reaping it took about 3 ms.  Timed on 2 CPUs
+# (lognormal data, R = 5, k = 2 and 6, all three modes, serial and W = 2
+# fits interleaved), two workers took 1.12-1.25 times the serial time at
+# n * R = 200 (k = 2), 0.68-1.12 at 300 to 500, 0.67-1.04 at 750 and
+# 0.64-0.86 at 1000, a bench cell's fit (n = 200, R = 5).  So two workers
+# start at n * R = 1000; W > 2 has not been measured.
+_WORK_PER_WORKER = 500
 
 
 def _usable_cpus() -> int:
-    # sched_getaffinity is Linux-only: elsewhere the restarts run serially
-    affinity = getattr(os, "sched_getaffinity", None)
+    # sched_getaffinity and memfd_create are Linux-only: elsewhere the restarts run serially
+    affinity = getattr(os, "sched_getaffinity", None) if hasattr(os, "memfd_create") else None
     return len(affinity(0)) if affinity else 1
-
-
-# set while a share of a runner with W > 1 runs: a runner in its jobs is serial
-_in_share = False
 
 
 def _worker_count(restarts, n) -> int:
     """W = min(R, usable CPUs, n * R // _WORK_PER_WORKER), at least 1, so
-    each worker has work enough to pay for its fork; and 1 inside a job of
-    a runner with W > 1 or inside a multiprocessing worker, whose siblings
-    already use the CPUs."""
-    if _in_share or multiprocessing.parent_process() is not None:
-        return 1
+    that each worker has work enough to pay for its jobs' messages."""
     return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER))
 
 
-def _share(job, w, count, workers, done, failed):
-    """Run worker w's jobs w, w + workers, ... into `done`, with `_in_share` set
-    if workers > 1; stop at the first that raises, as the serial loop would,
-    and file its exception."""
-    global _in_share
-    outer, _in_share = _in_share, _in_share or workers > 1
+_workers = []  # (pid, this process's end of its socket pair) of each warm worker
+_lock = threading.Lock()  # held while a call hires or uses the workers
+# `nested` is set in a worker, and in a thread while it runs a share of a
+# runner with W > 1: a runner inside a job runs serially
+_thread = threading.local()
+
+
+def _forget_workers():
+    """In a forked child: the caller's workers are not its own, so close the
+    inherited ends of their sockets and neither use nor reap them."""
+    global _lock
+    for _, sock in _workers:
+        sock.close()
+    _workers.clear()
+    _kept.clear()
+    _lock = threading.Lock()
+
+
+def _reap_workers():
+    """Kill and reap every worker; the next call that wants some forks them afresh."""
+    while _workers:
+        pid, sock = _workers.pop()
+        sock.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_reap_workers)
+
+
+class _SharedFile(mmap.mmap):
+    """A memory file mapped whole; `fd` lets other processes map it too."""
+
+    def __del__(self):
+        os.close(self.fd)
+
+
+# A shared file of at most this many bytes (n <= 724) is kept, once its
+# matrix is gone, for the next one: a fresh file's pages fault in anew, 0.14
+# ms more than a heap array at n = 200.  Larger matrices get a file of their
+# own, as glibc maps large blocks afresh.
+_KEEP_BYTES = 1 << 22
+_kept = []  # at most one free shared file
+
+
+def _keep(mapped):
+    if not _kept:
+        _kept.append(mapped)
+
+
+def _shared_matrix(n) -> np.ndarray:
+    """An (n, n) float64 array in a memory file, which a job sent to the
+    workers carries as its descriptor (`_JobPickler`)."""
+    size = max(8 * n * n, 1)
     try:
-        for i in range(w, count, workers):
+        mapped = _kept.pop()  # atomic: no two threads take the same file
+    except IndexError:
+        mapped = None
+    if mapped is None or len(mapped) < size:
+        fd = os.memfd_create("kgroups-distances", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(fd, size)
+            mapped = _SharedFile(fd, size)
+        except BaseException:
+            os.close(fd)
+            raise
+        mapped.fd = fd
+    matrix = np.ndarray((n, n), np.float64, buffer=mapped)
+    if len(mapped) <= _KEEP_BYTES:
+        weakref.finalize(matrix, _keep, mapped)
+    return matrix
+
+
+class _JobPickler(pickle.Pickler):
+    """Pickles a shared matrix (`_shared_matrix`) as an index into `fds`,
+    the descriptors that travel with the message, not by value."""
+
+    def __init__(self, file):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.fds = []
+
+    def persistent_id(self, obj):
+        if type(obj) is np.ndarray and isinstance(obj.base, _SharedFile):
+            self.fds.append(obj.base.fd)
+            return len(self.fds) - 1, obj.shape
+        return None
+
+
+class _JobUnpickler(pickle.Unpickler):
+    """Maps each shared matrix of a `_JobPickler` message read-only."""
+
+    def __init__(self, file, fds):
+        super().__init__(file)
+        self.fds = fds
+
+    def persistent_load(self, pid):
+        i, shape = pid
+        flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+        view = mmap.mmap(self.fds[i], 8 * math.prod(shape), flags=flags, prot=mmap.PROT_READ)
+        return np.ndarray(shape, np.float64, buffer=view)
+
+
+def _send(sock, data, fds=()):
+    """One message: its length, which carries the descriptors `fds`, then `data`."""
+    head = struct.pack("=Q", len(data))
+    if fds:
+        socket.send_fds(sock, [head], fds)
+        sock.sendall(data)
+    else:
+        sock.sendall(head + data)
+
+
+def _read(sock, size, got=b""):
+    """`size` bytes from `sock`, the first ones `got`; EOFError at its end."""
+    data = bytearray(size)
+    data[: len(got)] = got
+    view, n = memoryview(data), len(got)
+    while n < size:
+        more = sock.recv_into(view[n:])
+        if not more:
+            raise EOFError
+        n += more
+    return data
+
+
+def _receive(sock):
+    """(data, descriptors) of the next message of `_send`."""
+    head, fds, _, _ = socket.recv_fds(sock, 8, 4)
+    return _read(sock, struct.unpack("=Q", _read(sock, 8, head))[0]), fds
+
+
+def _share(make_job, args, ids, nested):
+    """({i: job(i)}, {i: exception}) for the jobs `ids` in order, job =
+    make_job(*args), with `_thread.nested` set when `nested`; stops at the first
+    job that raises, as the serial loop would, and files its exception."""
+    done, failed = {}, {}
+    outer = getattr(_thread, "nested", False)
+    _thread.nested = outer or nested
+    i = ids[0] if ids else 0
+    try:
+        job = make_job(*args)
+        for i in ids:
             done[i] = job(i)
     except Exception as exc:
         failed[i] = exc
     finally:
-        _in_share = outer
+        _thread.nested = outer
+    return done, failed
 
 
-def _serve(job, w, count, workers, write):
-    """A forked worker: run share w, pickle its records and its failure, an
-    (exception, formatted traceback) pair, into the pipe's write end and
-    leave with os._exit, whatever happens."""
+def _serve(sock):
+    """A warm worker's life: run each job the caller sends, on the CPUs it
+    names, and send back its records and failures, the latter as
+    (exception, formatted traceback) pairs, until the caller closes its
+    end.  Leaves with os._exit, whatever happens."""
     try:
-        done, failed = {}, {}
-        _share(job, w, count, workers, done, failed)
-        for i, exc in failed.items():
-            failed[i] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-        with open(write, "wb") as fh:
-            fh.write(pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL))
-        os._exit(0)
+        _thread.nested = True
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+        placed = None
+        while True:
+            try:
+                data, fds = _receive(sock)
+            except EOFError:
+                os._exit(0)
+            try:
+                make_job, args, ids, cpus = _JobUnpickler(io.BytesIO(data), fds).load()
+            finally:
+                for fd in fds:
+                    os.close(fd)
+            if cpus != placed:
+                with contextlib.suppress(OSError):  # placement is a hint
+                    os.sched_setaffinity(0, cpus)
+                placed = cpus
+            done, failed = _share(make_job, args, ids, True)
+            for i, exc in failed.items():
+                failed[i] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+            try:
+                reply = pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                reply = pickle.dumps(({}, {ids[0]: (ChildProcessError(f"unpicklable results: {exc!r}"), "")}))
+            del make_job, args, done, failed  # let go of the shared matrix before waiting
+            _send(sock, reply)
     finally:
         os._exit(1)
 
 
-def _run_jobs(job, count, workers) -> list:
-    """[job(0), ..., job(count - 1)] run on `workers` workers.
+_sched_getcpu = None
 
-    Worker 0 is this process; workers 1..W-1 are forked children, which
-    share this process's memory, e.g. a fit's distance cache,
-    copy-on-write.  Job i runs on worker i mod W, and each child sends its
-    records back through a pipe, so they must pickle.  A job depends on
-    its index alone, so the records are those of the serial loop for every
-    W.  When jobs raise, the exception of the lowest one is raised, the
-    one the serial loop meets first, with a child's traceback as its
-    cause.  Every child is reaped before this returns, and killed first
-    when this process raised.  A share whose fork fails runs here.
-    """
-    mine = [0]  # the shares this process runs
-    children = []  # (pid, read end of its pipe)
-    done, failed = {}, {}
-    finished = False
+
+def _placement() -> frozenset:
+    """The usable CPUs but the one this process runs on, where the workers
+    run their jobs.  Woken unpinned, a worker was put on the caller's CPU:
+    n = 200, R = 5 fits on 2 CPUs took 1.06-1.23 times the serial time
+    unpinned and 0.66-0.83 pinned."""
+    global _sched_getcpu
+    if _sched_getcpu is None:
+        _sched_getcpu = ctypes.CDLL(None).sched_getcpu
+        _sched_getcpu.argtypes, _sched_getcpu.restype = [], ctypes.c_int
+    cpus = os.sched_getaffinity(0)
+    return frozenset(cpus - {_sched_getcpu()}) or frozenset(cpus)
+
+
+def _hire(workers) -> int:
+    """The processes at hand for a call that wants `workers`, this one
+    included: warm workers are forked until there are workers - 1, and a
+    fork that fails leaves fewer.  1 inside a job of a runner with W > 1, in
+    a multiprocessing worker, whose siblings already use the CPUs, and while
+    another thread uses the workers."""
+    if workers < 2 or getattr(_thread, "nested", False) or multiprocessing.parent_process() is not None:
+        return 1
+    if not _lock.acquire(blocking=False):
+        return 1
     try:
-        for w in range(1, workers):
-            read, write = os.pipe()
+        while len(_workers) < workers - 1:
+            mine, theirs = socket.socketpair()
             try:
                 pid = os.fork()
             except OSError:  # e.g. at a process limit
-                pid = None
-                mine.append(w)
-                os.close(read)
+                mine.close()
+                theirs.close()
+                break
             if pid == 0:
-                _serve(job, w, count, workers, write)
-            os.close(write)
-            if pid:
-                children.append((pid, read))
-        for w in mine:
-            _share(job, w, count, workers, done, failed)
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as fh:
-                payload = fh.read()
-            if not payload:
-                raise ChildProcessError(f"worker {pid} ended without its results")
-            theirs, their_failures = pickle.loads(payload)
-            done.update(theirs)
-            for i, (exc, text) in their_failures.items():
-                exc.__cause__ = ChildProcessError(f"job {i} in worker {pid}:\n{text}")
-                failed[i] = exc
-        finished = True
+                mine.close()
+                _serve(theirs)
+            theirs.close()
+            _workers.append((pid, mine))
+        return min(workers, 1 + len(_workers))
     finally:
-        for pid, read in children:
-            os.close(read)
+        _lock.release()
+
+
+def _run_jobs(make_job, args, count, workers) -> list:
+    """[job(0), ..., job(count - 1)], job = make_job(*args), on `workers` processes.
+
+    Worker 0 is this process, the others warm workers of `_hire`, which the
+    caller calls first with the same `workers`.  Job i runs on worker i mod
+    W.  A worker gets make_job, by name, args and its job ids in one pickled
+    message, in which the shared matrices of `_shared_matrix` travel as
+    descriptors and all else by value, makes its job, and sends its records
+    back, so they must pickle.  A job depends on its index alone, so the
+    records are those of the serial loop for every W.  When jobs raise, the
+    exception of the lowest one is raised, the one the serial loop meets
+    first, with a worker's traceback as its cause; a worker that ends
+    without its results raises ChildProcessError.  After any failure every
+    worker is killed and reaped.  While another thread uses the workers, or
+    inside a job of a runner with W > 1, the jobs run here.
+    """
+    if workers < 2 or getattr(_thread, "nested", False) or not _lock.acquire(blocking=False):
+        done, failed = _share(make_job, args, range(count), False)
+    else:
+        finished = False
+        try:
+            w = min(workers, 1 + len(_workers))
+            shares = [(pid, sock, range(s, count, w)) for s, (pid, sock) in enumerate(_workers[: w - 1], 1)]
+            cpus = _placement()
+            for pid, sock, ids in shares:
+                message = io.BytesIO()
+                pickler = _JobPickler(message)
+                pickler.dump((make_job, args, ids, cpus))
+                try:
+                    _send(sock, message.getbuffer(), pickler.fds)
+                except OSError:
+                    raise _lost(pid, ids) from None
+            done, failed = _share(make_job, args, range(0, count, w), True)
+            for pid, sock, ids in shares:
+                try:
+                    theirs, their_failures = pickle.loads(_receive(sock)[0])
+                except (EOFError, OSError):
+                    raise _lost(pid, ids) from None
+                done.update(theirs)
+                for i, (exc, text) in their_failures.items():
+                    exc.__cause__ = ChildProcessError(f"job {i} in worker {pid}:\n{text}")
+                    failed[i] = exc
+            finished = not failed
+        finally:
             if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                _reap_workers()
+            _lock.release()
     if failed:
         raise failed[min(failed)]
     return [done[i] for i in range(count)]
+
+
+def _lost(pid, ids) -> ChildProcessError:
+    return ChildProcessError(f"worker {pid} ended without the results of jobs {list(ids)}")
+
+
+def _restarts(cfg, cache, start, pairs, collect_trace):
+    """The job of a fit: restart r.  `pairs` are the pairs of an even-n
+    second-variation fit (None otherwise); each process makes its items."""
+    if cfg.mode != "second_variation":
+        items = _point_items(cache.n)
+    else:
+        items = None if pairs is None else _pair_items(cache.dist, pairs=pairs)
+    return lambda r: _restart(r, cfg, cache, start, items, collect_trace)
 
 
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
@@ -665,10 +899,12 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     (`energy._within_term`), to 1e-9 relative, NaN included; the total and
     between terms are not computed.
 
-    The restarts run on W = min(R, usable CPUs, n * R // 2000) processes
-    (`_run_jobs`), forked on Linux once the cache is built, and in this
-    process alone when W is 1, inside a job of a runner with W > 1 or
-    inside a multiprocessing worker.  The affinity mask, e.g. `taskset`,
+    The restarts run on W = min(R, usable CPUs, n * R // 500) processes
+    (`_run_jobs`): this one and warm workers, forked on Linux when first
+    wanted and kept for later fits, which map the cache's matrix from
+    shared memory.  They run in this process alone when W is 1, inside a
+    job of a runner with W > 1, inside a multiprocessing worker or while
+    another thread uses the workers.  The affinity mask, e.g. `taskset`,
     sets the usable CPUs.  The result is bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
@@ -691,14 +927,11 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
         start = Partition(init_labels, cfg.k)
         if start.n != n:
             raise InputError("init_labels length does not match the data")
-    cache = DistanceCache(x, cfg.alpha)
-    if pairs:
-        items = _pair_items(cache.dist) if n % 2 == 0 else None
-    else:
-        items = _point_items(n)
-
-    results = _run_jobs(lambda r: _restart(r, cfg, cache, start, items, collect_trace),
-                        cfg.restarts, _worker_count(cfg.restarts, n))
+    # the workers are forked before the cache is built, so none holds it for life
+    workers = _hire(_worker_count(cfg.restarts, n))
+    cache = DistanceCache(x, cfg.alpha, out=_shared_matrix(n) if workers > 1 else None)
+    even_pairs = _pair_items(cache.dist).points if pairs and n % 2 == 0 else None
+    results = _run_jobs(_restarts, (cfg, cache, start, even_pairs, collect_trace), cfg.restarts, workers)
     best = min(results, key=lambda res: res.within)
 
     part = best.partition

@@ -11,11 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgroups.solver
+
 # Child processes (the console-script test) import kgroups from this checkout
 # as well, so a plain `pytest` run needs no installed package.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_workers():
+    # warm restart workers see the code as it was when they were forked, so
+    # each test starts without any and forks its own after its patches
+    yield
+    kgroups.solver._reap_workers()
 
 
 def brute_powered_distance(x, y, alpha):

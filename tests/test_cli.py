@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -338,6 +340,18 @@ class TestDermatologyCommand:
             assert "input error: algorithms must be" in capsys.readouterr().err
         assert calls == []
 
+    def test_repeated_algorithm_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        import kgroups.dermatology as dermatology
+        from test_dermatology import make_fixture
+
+        calls = []
+        monkeypatch.setattr(dermatology, "fit", lambda *a, **kw: calls.append(a))
+        f = make_fixture(tmp_path / "derm.data", n_rows=60, n_missing_age=1)
+        for path in (f, tmp_path / "absent.data"):  # checked before the file is read
+            assert main(["dermatology", "--path", str(path), "--algorithms", "kmeans,kmeans"]) == 2
+            assert "input error: algorithms must be unique" in capsys.readouterr().err
+        assert calls == []
+
     def test_report_rows_and_files(self, tmp_path, capsys):
         from test_dermatology import make_fixture
 
@@ -408,6 +422,32 @@ class TestBenchDefect:
         ])
         assert code == 4
         assert not (tmp_path / "bench").exists()
+
+
+class TestOverflowingData:
+    """Coordinates whose distances overflow float64 are an input error (exit
+    2), not a numeric defect (exit 4), and no warning is printed on the way."""
+
+    @pytest.mark.parametrize("mode", ALGORITHMS)
+    def test_fit_exits_2(self, mode, tmp_path, capsys):
+        f = write_csv(tmp_path / "wide.csv", "0\n1e200\n2e200\n-1e200\n5\n6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--k", "2", "--mode", mode, "--input", f]) == 2
+        assert "input error: data span too wide" in capsys.readouterr().err
+
+    def test_bench_records_every_cell_as_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bench", "--design", "normal", "--sweep-param", "separation",
+                         "--sweep-values", "1e200", "--n", "40", "--reps", "2", "--out-dir", str(out)])
+        assert code == 2  # every cell failed: the chart has no series
+        with open(out / "experiment_replicates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(ALGORITHMS)
+        assert all(r["failed"] == "true" and r["error"].startswith("InputError: data span too wide")
+                   for r in rows)
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from kgroups import (
 )
 from kgroups.harness import default_alpha, design_mixture
 from kgroups.partition import Partition, random_partition
-from test_solver import _assert_no_children_left, _forks, _on_workers
+from test_solver import _assert_only_workers_left, _forks, _on_workers
 
 
 def tiny_spec(**overrides):
@@ -260,15 +260,16 @@ class TestRunExperiment:
         ((3.0,), 1, 8, 0), ((1.0, 3.0), 1, 64, 1), ((1.0, 3.0), 3, 4, 3), ((1.0, 3.0), 3, 1, 0),
     ])
     def test_no_more_processes_than_replicates(self, values, reps, workers, forks, monkeypatch):
-        # min(workers, replicates) workers: this process and forked children
+        # min(workers, replicates) workers: this process and warm workers
         spec = tiny_spec(sweep_values=values, reps=reps)
         serial = run_experiment(spec, workers=1)
+        solver._reap_workers()  # the worker its fits' restarts ran on
         calls = _forks(monkeypatch)
         result = run_experiment(spec, workers=workers)
         assert len(calls) == forks
         assert [replace(r, runtime_s=None) for r in result.records] == \
             [replace(r, runtime_s=None) for r in serial.records]
-        _assert_no_children_left()
+        _assert_only_workers_left()
 
     def test_fits_inside_forked_replicates_run_serially(self, tmp_path, monkeypatch):
         # forks counted in this process and in its children, one line per fork
@@ -287,11 +288,12 @@ class TestRunExperiment:
         parallel = run_experiment(spec, workers=2)
         assert log.read_text().splitlines() == [str(os.getpid())]
         log.unlink()
+        # at --workers 1 every fit runs its restarts on the replicates' warm worker
         serial = run_experiment(spec, workers=1)
-        assert log.read_text().splitlines() == [str(os.getpid())] * len(serial.records)
+        assert not log.exists()
         assert [replace(r, runtime_s=None) for r in parallel.records] == \
             [replace(r, runtime_s=None) for r in serial.records]
-        _assert_no_children_left()
+        _assert_only_workers_left()
 
     def test_a_defect_in_a_forked_replicate_reaches_the_caller(self, monkeypatch):
         real_fit = harness.fit
@@ -307,7 +309,7 @@ class TestRunExperiment:
             run_experiment(spec, workers=2)
         assert isinstance(raised.value.__cause__, ChildProcessError)
         assert "in broken_fit" in str(raised.value.__cause__)
-        _assert_no_children_left()
+        _assert_only_workers_left()
 
     def test_fit_failure_recorded_not_dropped(self, monkeypatch):
         calls = {"count": 0}

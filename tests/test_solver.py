@@ -1,10 +1,14 @@
+import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -534,13 +538,18 @@ def _two_clusters(seed, n=200):
 
 class TestNumericInvariant:
     @pytest.mark.parametrize("mode", ["first_variation", "second_variation", "kmeans_alpha2"])
-    def test_overflowing_scale_fails_loudly(self, mode):
-        # squared distances overflow to inf; inf - inf is NaN, which the
-        # objective check must treat as a failure, not as agreement
+    def test_overflowing_scale_fails_loudly(self, mode, monkeypatch):
+        # squared distances would overflow to inf: the cache refuses the data.
+        # Past that check, inf - inf is NaN, which the objective check must
+        # treat as a failure, not as agreement
         alpha = 2.0 if mode == "kmeans_alpha2" else 1.0
         cfg = FitConfig(k=2, alpha=alpha, restarts=2, rng_seed=0, mode=mode)
+        x = _two_clusters(0, n=40) * 1e170
+        with pytest.raises(InputError, match="data span too wide"):
+            fit(x, cfg)
+        monkeypatch.setattr(kenergy, "_check_range", lambda x, alpha: None)
         with pytest.raises(NumericInvariantError), np.errstate(all="ignore"):
-            fit(_two_clusters(0, n=40) * 1e170, cfg)
+            fit(x, cfg)
 
     @pytest.mark.parametrize("offset", [2e3, 5e3, 1e6])
     def test_kmeans_objective_survives_common_offset(self, offset):
@@ -1015,6 +1024,33 @@ class TestPowerOfTwoScale:
         assert scaled.trace == [(i, a, b, w * factor) for i, a, b, w in base.trace]
 
 
+HOSTILE_RUNS = [("first_variation", 0.5), ("first_variation", 1.5), ("second_variation", 1.0),
+                ("kmeans_alpha2", 2.0)]
+
+
+class TestHostileScale:
+    @given(seed=st.integers(0, 2**16), n=st.integers(4, 40), run=st.sampled_from(HOSTILE_RUNS),
+           s=st.integers(0, 1100) | st.integers(490, 520))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_a_scaled_fit_returns_or_refuses_its_input(self, seed, n, run, s):
+        # data scaled by 2^s, up to and past where float64 sums over its
+        # distances overflow (about s = 505 here): a fit or an InputError,
+        # never a defect and never a warning
+        mode, alpha = run
+        g = np.random.default_rng(seed)
+        x = g.standard_normal((n, int(g.integers(1, 4)))) + 3.0 * g.integers(0, 2, (n, 1))
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(x, s)
+        cfg = FitConfig(k=2, alpha=alpha, restarts=2, rng_seed=seed, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fit(scaled, cfg)
+            except InputError:
+                return
+        assert np.isfinite(result.within)
+
+
 class TestConvergence:
     def test_a_sweep_cut_off_by_max_passes_is_not_converged(self, rng):
         x = rng.standard_normal((60, 2)) + 4.0 * rng.integers(0, 3, (60, 1))
@@ -1054,7 +1090,9 @@ def _everything(r):
             r.converged, r.trace)
 
 
-def _assert_no_children_left():
+def _assert_only_workers_left():
+    # every child of this process is a warm worker: once they are reaped, none is left
+    solver._reap_workers()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1073,10 +1111,23 @@ def _forks_in_a_pool_worker(x, cfg):
 PARALLEL_RUNS = [("first_variation", 0.5), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
 
 
+def _fit_sequence():
+    # fits that differ in n (odd and even), alpha, mode, restarts and start
+    out = []
+    for n in (40, 61, 150):
+        g = np.random.default_rng(n)
+        x = g.standard_normal((n, 2)) + 3.0 * g.integers(0, 3, (n, 1))
+        for mode, alpha in (*PARALLEL_RUNS, ("first_variation", 1.5)):
+            init = None if mode == "second_variation" else np.arange(n) % 3
+            out.append((x, FitConfig(k=3, alpha=alpha, restarts=5 + n % 2, rng_seed=n, mode=mode), init))
+    return out
+
+
 class TestParallelRestarts:
-    """`fit` forks W - 1 workers for its restarts, W = min(R, usable CPUs,
-    n * R // _WORK_PER_WORKER); a fit is the same whatever W.  No test runs
-    more than 3 processes."""
+    """`fit` runs restart r on worker r mod W, W = min(R, usable CPUs,
+    n * R // _WORK_PER_WORKER), the workers being this process and W - 1
+    warm workers; a fit is the same whatever W.  No test runs more than 3
+    processes."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("restarts", [1, 2, 5, 7])
@@ -1093,7 +1144,85 @@ class TestParallelRestarts:
         _on_workers(monkeypatch, workers)
         assert _everything(fit(x, cfg, init_labels=init, collect_trace=True)) == serial
         assert len(forks) == min(restarts, workers) - 1
-        _assert_no_children_left()
+        _assert_only_workers_left()
+
+    def test_warm_workers_give_every_fit_of_a_sequence_its_serial_result(self, monkeypatch):
+        # one sequence of fits across n, alpha and modes, on W = 1, 2 and 3:
+        # the workers are forked once and then serve every later fit
+        fits = _fit_sequence()
+        _on_workers(monkeypatch, 1)
+        serial = [_everything(fit(x, cfg, init_labels=init, collect_trace=True)) for x, cfg, init in fits]
+        forks = _forks(monkeypatch)
+        for workers in (2, 3):
+            _on_workers(monkeypatch, workers)
+            for (x, cfg, init), expected in zip(fits, serial):
+                assert _everything(fit(x, cfg, init_labels=init, collect_trace=True)) == expected
+            assert len(forks) == workers - 1  # one per worker, none per fit
+        _assert_only_workers_left()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_a_job_carries_the_matrix_as_a_descriptor(self, alpha):
+        # the cache is built into the shared file; a job message holds its
+        # descriptor, not its bytes, and maps the same values read-only
+        x = np.random.default_rng(5).standard_normal((200, 2))
+        cache = DistanceCache(x, alpha, out=solver._shared_matrix(200))
+        buf = io.BytesIO()
+        pickler = solver._JobPickler(buf)
+        pickler.dump(cache)
+        assert len(pickler.fds) == 1 and len(buf.getvalue()) < 1000
+        mapped = solver._JobUnpickler(io.BytesIO(buf.getvalue()), pickler.fds).load()
+        assert np.array_equal(mapped.dist, DistanceCache(x, alpha).dist)
+        assert not mapped.dist.flags.writeable
+
+    def test_a_worker_runs_off_the_callers_cpu_and_leaves_its_mask_alone(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            pytest.skip("needs two usable CPUs")
+        _on_workers(monkeypatch, 2)
+        fit(np.arange(40.0), FitConfig(k=2, restarts=4))
+        assert os.sched_getaffinity(0) == mask
+        (pid, _), = solver._workers
+        placed = os.sched_getaffinity(pid)
+        assert placed < mask and len(placed) == len(mask) - 1
+
+    def test_threads_sharing_the_workers_get_their_serial_results(self, monkeypatch):
+        # more threads than CPUs, switching often: each fit takes the warm
+        # worker or runs in its thread, and every result is the serial one
+        fits = _fit_sequence()[:6]
+        _on_workers(monkeypatch, 1)
+        serial = [_everything(fit(x, cfg, init_labels=init, collect_trace=True)) for x, cfg, init in fits]
+        _on_workers(monkeypatch, 2)
+        fit(*fits[0][:2])  # forks the worker before any thread starts
+        got = {}
+
+        def run(t):
+            for j, (x, cfg, init) in enumerate(fits):
+                got[t, j] = _everything(fit(x, cfg, init_labels=init, collect_trace=True))
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {(t, j): serial[j] for t in range(4) for j in range(len(fits))}
+        assert solver._hire(2) == 2  # no thread's nesting mark leaked into this one
+        _assert_only_workers_left()
+
+    def test_a_call_while_another_thread_holds_the_workers_runs_here(self, monkeypatch):
+        x = np.random.default_rng(3).standard_normal((30, 2))
+        cfg = FitConfig(k=2, restarts=5)
+        serial = _everything(fit(x, cfg, collect_trace=True))
+        forks = _forks(monkeypatch)
+        _on_workers(monkeypatch, 2)
+        with solver._lock:
+            assert _everything(fit(x, cfg, collect_trace=True)) == serial
+        assert forks == []
 
     @pytest.mark.parametrize("failing", [(1,), (2, 4), (1, 3), (0, 5), (3, 4)])
     @pytest.mark.parametrize("workers", [2, 3])
@@ -1117,15 +1246,40 @@ class TestParallelRestarts:
         assert str(parallel.value) == str(serial.value) == f"restart {min(failing)} failed"
         if min(failing) % workers:  # raised in a worker: its traceback is the cause
             assert "in failing_restart" in str(parallel.value.__cause__)
-        _assert_no_children_left()
+        assert solver._workers == []  # reaped after the failure
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_worker_that_dies_is_reported_and_reaped(self, monkeypatch):
-        real = solver._restart
-        monkeypatch.setattr(solver, "_restart", lambda r, *a: os._exit(3) if r == 1 else real(r, *a))
+        real, here = solver._restart, os.getpid()
+        dies = lambda r, *a: os._exit(3) if r == 1 and os.getpid() != here else real(r, *a)  # noqa: E731
+        monkeypatch.setattr(solver, "_restart", dies)
         _on_workers(monkeypatch, 2)
-        with pytest.raises(ChildProcessError, match="without its results"):
+        with pytest.raises(ChildProcessError, match="without the results of jobs"):
             fit(np.arange(30.0), FitConfig(k=2, restarts=3))
-        _assert_no_children_left()
+        assert solver._workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_killed_mid_job_is_reported_and_the_next_fit_gets_fresh_ones(self, monkeypatch):
+        real, here = solver._restart, os.getpid()
+        kill = lambda r, *a: (os.kill(os.getpid(), signal.SIGKILL) if r == 1 and os.getpid() != here  # noqa: E731
+                              else real(r, *a))
+        monkeypatch.setattr(solver, "_restart", kill)
+        _on_workers(monkeypatch, 2)
+        x = np.random.default_rng(1).standard_normal((30, 2))
+        with pytest.raises(ChildProcessError, match=r"without the results of jobs \[1\]"):
+            fit(x, FitConfig(k=2, restarts=3))
+        assert solver._workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(solver, "_restart", real)
+        forks = _forks(monkeypatch)
+        again = _everything(fit(x, FitConfig(k=2, restarts=3), collect_trace=True))
+        assert len(forks) == 1
+        _on_workers(monkeypatch, 1)
+        assert again == _everything(fit(x, FitConfig(k=2, restarts=3), collect_trace=True))
+        _assert_only_workers_left()
 
     def test_workers_are_killed_when_this_process_raises(self, monkeypatch):
         real = solver._restart
@@ -1142,7 +1296,9 @@ class TestParallelRestarts:
         with pytest.raises(KeyboardInterrupt):
             fit(np.arange(30.0), FitConfig(k=2, restarts=3))
         assert time.perf_counter() - start < 30
-        _assert_no_children_left()
+        assert solver._workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_share_whose_fork_fails_runs_here(self, monkeypatch):
         def no_fork():
@@ -1154,6 +1310,43 @@ class TestParallelRestarts:
         monkeypatch.setattr(os, "fork", no_fork)
         _on_workers(monkeypatch, 3)
         assert _everything(fit(x, cfg, collect_trace=True)) == serial
+
+    def test_a_forked_child_neither_uses_nor_reaps_the_callers_workers(self, monkeypatch):
+        _on_workers(monkeypatch, 2)
+        x = np.random.default_rng(4).standard_normal((30, 2))
+        cfg = FitConfig(k=2, restarts=4)
+        expected = _everything(fit(x, cfg, collect_trace=True))
+        mine = list(solver._workers)
+        pid = os.fork()
+        if pid == 0:  # the child: the at-exit reaper finds no worker of its own
+            ok = False
+            try:
+                ok = solver._workers == [] and solver._reap_workers() is None
+                ok = ok and _everything(fit(x, cfg, collect_trace=True)) == expected
+                solver._reap_workers()  # its own worker
+            finally:
+                os._exit(0 if ok else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert solver._workers == mine
+        forks = _forks(monkeypatch)
+        assert _everything(fit(x, cfg, collect_trace=True)) == expected
+        assert forks == []
+        _assert_only_workers_left()
+
+    def test_no_worker_outlives_its_caller(self):
+        code = (
+            "import numpy as np, kgroups.solver as s\n"
+            "s._WORK_PER_WORKER = 1; s._usable_cpus = lambda: 2\n"
+            "s.fit(np.arange(30.0), s.FitConfig(k=2, restarts=4))\n"
+            "print(*[pid for pid, _ in s._workers])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("cpus, restarts, per_worker, forks", [
         (1, 5, 1, 0),  # one usable CPU
@@ -1183,9 +1376,10 @@ class TestParallelRestarts:
         assert solver._usable_cpus() == 1
 
     @pytest.mark.parametrize("n, restarts, workers", [
-        (200, 5, 1),  # the benchmark's study cell
-        (200, 20, 2),
-        (358, 20, 3),  # the dermatology case study
+        (200, 5, 2),  # the benchmark's study cell
+        (100, 5, 1),
+        (200, 20, 8),
+        (358, 20, 14),  # the dermatology case study
         (2001, 5, 5),
         (4000, 1, 1),
     ])

@@ -20,9 +20,10 @@ The fit set:
   R = 3, traces on;
 * first variation and kmeans from `init_labels` at n = 24 and 151;
 * first variation from `init_labels` at n = 151 and second variation at
-  alpha = 1, seed 0 and n = 150 once more with their restarts on forked
-  workers: `solver._WORK_PER_WORKER` is set so that W is at most 3, and
-  every forked child must be reaped when the fit returns.
+  alpha = 1, seed 0 and n = 150 once more with their restarts on warm
+  workers: `solver._WORK_PER_WORKER` is set so that W is at most 3.  The
+  workers serve every such fit in turn, across n, data and modes; they are
+  reaped at the end, and no other child may be left.
 """
 
 from __future__ import annotations
@@ -111,19 +112,13 @@ def _fit_digest(x, cfg, init):
 
 @contextlib.contextmanager
 def _forked_restarts(n):
-    """Restarts of an n-point fit on at most MAX_WORKERS workers; checks on
-    leaving that no forked child is left unreaped."""
+    """Restarts of an n-point fit on at most MAX_WORKERS workers."""
     saved = solver._WORK_PER_WORKER
     solver._WORK_PER_WORKER = n * RESTARTS // MAX_WORKERS
     try:
         yield
     finally:
         solver._WORK_PER_WORKER = saved
-    try:
-        pid, _ = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    raise AssertionError(f"a forked fit left child process {pid} behind")
 
 
 def fit_digests() -> dict:
@@ -133,7 +128,12 @@ def fit_digests() -> dict:
         if name.endswith(FORKED_RUNS):
             with _forked_restarts(x.shape[0]):
                 out[f"fork/{name}"] = _fit_digest(x, cfg, init)
-    return out
+    solver._reap_workers()
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return out
+    raise AssertionError(f"a forked fit left child process {pid} behind")
 
 
 def bench_digests() -> dict:
