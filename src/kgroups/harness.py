@@ -25,7 +25,7 @@ from .datagen import Component, MixtureSpec, generate
 from .energy import validate_alpha
 from .errors import InputError, NumericInvariantError, check_fields, check_sequence
 from .indices import INDEX_NAMES, ContingencyTable, index_report
-from .solver import ALGORITHMS, _check_algorithms, _hire, _run_jobs, fit, fit_config
+from .solver import ALGORITHMS, _check_algorithms, _crew, _run_jobs, fit, fit_config
 
 __all__ = [
     "DESIGNS",
@@ -249,13 +249,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     Fully deterministic for a fixed spec, independent of `workers`: each
     replicate derives everything from base_seed + replicate index, and
     results are reduced in (sweep value, replicate) order.  `workers` is an
-    integer >= 1: the replicates run on min(workers, replicates) processes,
-    this one and warm workers of `solver._run_jobs`, whose fits' restarts
-    then run serially.
+    integer >= 1: the replicates run on min(workers, replicates) processes
+    of `solver._run_jobs`; with more than one, the run holds the workers to
+    its last reply (`solver._crew`), so its fits run their restarts serially.
     """
     check_fields({"workers": workers}, workers=1)
     count = len(spec.sweep_values) * spec.reps
-    chunks = _run_jobs(_replicates, (spec,), count, _hire(min(workers, count)))
+    with _crew(min(workers, count)) as at_hand:
+        chunks = _run_jobs(_replicates, (spec,), count, at_hand)
     records = [r for chunk in chunks for r in chunk]
     return ExperimentResult(spec=spec, rows=_aggregate(spec, records), records=records)
 
@@ -325,7 +326,8 @@ def emit_outputs(result: ExperimentResult, out_dir, formats=FORMATS, prefix="exp
 
     Raw per-replicate scores are always persisted next to whichever formats
     were requested, and every artifact except the wall-clock timings
-    sidecar is byte-identical across repeated runs of the same spec.
+    sidecar is byte-identical across repeated runs of the same spec.  When
+    every fit failed, InputError names the first, after the raw scores.
     """
     formats = check_formats(formats)
     if not result.rows:
@@ -345,6 +347,9 @@ def emit_outputs(result: ExperimentResult, out_dir, formats=FORMATS, prefix="exp
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for kind, (name, text) in artifacts.items():
+        if kind == "csv" and all(r["failed"] for r in records):
+            raise InputError("every fit failed, the first ({algorithm} at {param} {sweep_value!r}, replicate "
+                             "{replicate}) with {error}".format(param=result.spec.sweep_param, **records[0]))
         if kind in ("raw", "timings", *formats):
             paths[kind] = out / name
             paths[kind].write_text(text())

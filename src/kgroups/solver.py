@@ -66,19 +66,21 @@ lists.  A visit reads the factors, a list copy of the labels and, with one
 
 A fit's restarts are independent, so `fit` runs them on W = min(R, usable
 CPUs, n * R // 500) processes of `_run_jobs`, the bench's replicate runner
-too: this process and W - 1 warm workers.  A worker is forked the first
-time a call wants it, before the fit builds its cache, kept for later
-calls, and killed and reaped at exit or after any failure.  A restart job
-reaches a worker as one small pickled message: the restart ids, the
-FitConfig, the start labels and the even-n pairs.  The cache's matrix is
-built in place into a shared memory file (`_shared_matrix`), and the
-message carries the file's descriptor, which the worker maps read-only:
-nothing is rebuilt or copied.  Before each job the worker moves itself to
-the usable CPUs other than the caller's current one; the caller's own mask
-is never changed.  Restart r runs on worker r mod W and the records merge
-in restart order, so a fit is bit-identical for every W.  W is 1 for R = 1,
-one usable CPU, n * R < 1000, off Linux, in a multiprocessing worker, in a
-job of a W > 1 runner and while another thread uses the workers.
+too: this process and W - 1 warm workers, which a call holds under one
+lock from their hire (`_crew`) to their last reply.  A worker is forked
+the first time a call wants it, before the fit builds its cache, kept for
+later calls, and killed and reaped at exit or after a failure while it had
+jobs.  A restart job reaches a worker on its `multiprocessing.Pipe` as one
+small pickled message: the restart ids, the FitConfig, the start labels
+and the even-n pairs.  The cache's matrix is built in place into a shared
+memory file (`_shared_matrix`), whose descriptor follows the message and
+which the worker maps read-only: nothing is rebuilt or copied.  Before
+each job the worker moves itself to the usable CPUs other than the
+caller's current one.  Restart r runs on worker r mod W and the records
+merge in restart order, so a fit is bit-identical for every W.  W is 1
+for R = 1, one usable CPU, n * R < 1000, off Linux, in a multiprocessing
+worker and wherever the lock is taken: by another thread, in a job of
+the caller's own share and in a worker, which holds its own for good.
 """
 
 from __future__ import annotations
@@ -93,8 +95,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import socket
-import struct
 import threading
 import traceback
 import weakref
@@ -588,19 +588,16 @@ def _worker_count(restarts, n) -> int:
     return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER))
 
 
-_workers = []  # (pid, this process's end of its socket pair) of each warm worker
-_lock = threading.Lock()  # held while a call hires or uses the workers
-# `nested` is set in a worker, and in a thread while it runs a share of a
-# runner with W > 1: a runner inside a job runs serially
-_thread = threading.local()
+_workers = []  # (pid, this process's end of its Pipe) of each warm worker
+_lock = threading.Lock()  # held by a call from hire to last reply, and by a worker for good
 
 
 def _forget_workers():
     """In a forked child: the caller's workers are not its own, so close the
-    inherited ends of their sockets and neither use nor reap them."""
+    inherited ends of their pipes and neither use nor reap them."""
     global _lock
-    for _, sock in _workers:
-        sock.close()
+    for _, conn in _workers:
+        conn.close()
     _workers.clear()
     _kept.clear()
     _lock = threading.Lock()
@@ -609,8 +606,8 @@ def _forget_workers():
 def _reap_workers():
     """Kill and reap every worker; the next call that wants some forks them afresh."""
     while _workers:
-        pid, sock = _workers.pop()
-        sock.close()
+        pid, conn = _workers.pop()
+        conn.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -664,8 +661,9 @@ def _shared_matrix(n) -> np.ndarray:
 
 
 class _JobPickler(pickle.Pickler):
-    """Pickles a shared matrix (`_shared_matrix`) as an index into `fds`,
-    the descriptors that travel with the message, not by value."""
+    """Pickles a shared matrix (`_shared_matrix`) as its shape, not by value,
+    and lists its descriptor in `fds`, once per occurrence in pickling order:
+    the descriptors follow the message in that order."""
 
     def __init__(self, file):
         super().__init__(file, pickle.HIGHEST_PROTOCOL)
@@ -674,60 +672,33 @@ class _JobPickler(pickle.Pickler):
     def persistent_id(self, obj):
         if type(obj) is np.ndarray and isinstance(obj.base, _SharedFile):
             self.fds.append(obj.base.fd)
-            return len(self.fds) - 1, obj.shape
+            return obj.shape
         return None
 
 
 class _JobUnpickler(pickle.Unpickler):
-    """Maps each shared matrix of a `_JobPickler` message read-only."""
+    """Maps each shared matrix of a `_JobPickler` message read-only: its
+    descriptor is received from `conn` when the matrix is met, and closed."""
 
-    def __init__(self, file, fds):
+    def __init__(self, file, conn):
         super().__init__(file)
-        self.fds = fds
+        self.conn = conn
 
-    def persistent_load(self, pid):
-        i, shape = pid
-        flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
-        view = mmap.mmap(self.fds[i], 8 * math.prod(shape), flags=flags, prot=mmap.PROT_READ)
+    def persistent_load(self, shape):
+        fd = multiprocessing.reduction.recv_handle(self.conn)
+        try:
+            flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+            view = mmap.mmap(fd, 8 * math.prod(shape), flags=flags, prot=mmap.PROT_READ)
+        finally:
+            os.close(fd)
         return np.ndarray(shape, np.float64, buffer=view)
 
 
-def _send(sock, data, fds=()):
-    """One message: its length, which carries the descriptors `fds`, then `data`."""
-    head = struct.pack("=Q", len(data))
-    if fds:
-        socket.send_fds(sock, [head], fds)
-        sock.sendall(data)
-    else:
-        sock.sendall(head + data)
-
-
-def _read(sock, size, got=b""):
-    """`size` bytes from `sock`, the first ones `got`; EOFError at its end."""
-    data = bytearray(size)
-    data[: len(got)] = got
-    view, n = memoryview(data), len(got)
-    while n < size:
-        more = sock.recv_into(view[n:])
-        if not more:
-            raise EOFError
-        n += more
-    return data
-
-
-def _receive(sock):
-    """(data, descriptors) of the next message of `_send`."""
-    head, fds, _, _ = socket.recv_fds(sock, 8, 4)
-    return _read(sock, struct.unpack("=Q", _read(sock, 8, head))[0]), fds
-
-
-def _share(make_job, args, ids, nested):
+def _share(make_job, args, ids):
     """({i: job(i)}, {i: exception}) for the jobs `ids` in order, job =
-    make_job(*args), with `_thread.nested` set when `nested`; stops at the first
-    job that raises, as the serial loop would, and files its exception."""
+    make_job(*args); stops at the first job that raises, as the serial loop
+    would, and files its exception."""
     done, failed = {}, {}
-    outer = getattr(_thread, "nested", False)
-    _thread.nested = outer or nested
     i = ids[0] if ids else 0
     try:
         job = make_job(*args)
@@ -735,35 +706,29 @@ def _share(make_job, args, ids, nested):
             done[i] = job(i)
     except Exception as exc:
         failed[i] = exc
-    finally:
-        _thread.nested = outer
     return done, failed
 
 
-def _serve(sock):
+def _serve(conn):
     """A warm worker's life: run each job the caller sends, on the CPUs it
     names, and send back its records and failures, the latter as
     (exception, formatted traceback) pairs, until the caller closes its
     end.  Leaves with os._exit, whatever happens."""
     try:
-        _thread.nested = True
+        _lock.acquire()  # for good: a runner inside a job runs serially
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
         placed = None
         while True:
             try:
-                data, fds = _receive(sock)
+                data = conn.recv_bytes()
             except EOFError:
                 os._exit(0)
-            try:
-                make_job, args, ids, cpus = _JobUnpickler(io.BytesIO(data), fds).load()
-            finally:
-                for fd in fds:
-                    os.close(fd)
+            make_job, args, ids, cpus = _JobUnpickler(io.BytesIO(data), conn).load()
             if cpus != placed:
                 with contextlib.suppress(OSError):  # placement is a hint
                     os.sched_setaffinity(0, cpus)
                 placed = cpus
-            done, failed = _share(make_job, args, ids, True)
+            done, failed = _share(make_job, args, ids)
             for i, exc in failed.items():
                 failed[i] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
             try:
@@ -771,7 +736,7 @@ def _serve(sock):
             except Exception as exc:
                 reply = pickle.dumps(({}, {ids[0]: (ChildProcessError(f"unpicklable results: {exc!r}"), "")}))
             del make_job, args, done, failed  # let go of the shared matrix before waiting
-            _send(sock, reply)
+            conn.send_bytes(reply)
     finally:
         os._exit(1)
 
@@ -792,19 +757,21 @@ def _placement() -> frozenset:
     return frozenset(cpus - {_sched_getcpu()}) or frozenset(cpus)
 
 
-def _hire(workers) -> int:
+@contextlib.contextmanager
+def _crew(workers):
     """The processes at hand for a call that wants `workers`, this one
-    included: warm workers are forked until there are workers - 1, and a
-    fork that fails leaves fewer.  1 inside a job of a runner with W > 1, in
-    a multiprocessing worker, whose siblings already use the CPUs, and while
-    another thread uses the workers."""
-    if workers < 2 or getattr(_thread, "nested", False) or multiprocessing.parent_process() is not None:
-        return 1
-    if not _lock.acquire(blocking=False):
-        return 1
+    included: takes `_lock` without blocking, forks warm workers until there
+    are workers - 1 (a failed fork leaves fewer) and holds the lock until
+    the call's last reply.  1, holding nothing, when workers < 2, in a
+    multiprocessing worker, whose siblings already use the CPUs, or when
+    the lock is taken: by another thread, by the runner whose job this
+    call is part of, or in a worker, which holds its own."""
+    if workers < 2 or multiprocessing.parent_process() is not None or not _lock.acquire(blocking=False):
+        yield 1
+        return
     try:
         while len(_workers) < workers - 1:
-            mine, theirs = socket.socketpair()
+            mine, theirs = multiprocessing.Pipe()
             try:
                 pid = os.fork()
             except OSError:  # e.g. at a process limit
@@ -816,7 +783,7 @@ def _hire(workers) -> int:
                 _serve(theirs)
             theirs.close()
             _workers.append((pid, mine))
-        return min(workers, 1 + len(_workers))
+        yield min(workers, 1 + len(_workers))
     finally:
         _lock.release()
 
@@ -824,50 +791,45 @@ def _hire(workers) -> int:
 def _run_jobs(make_job, args, count, workers) -> list:
     """[job(0), ..., job(count - 1)], job = make_job(*args), on `workers` processes.
 
-    Worker 0 is this process, the others warm workers of `_hire`, which the
-    caller calls first with the same `workers`.  Job i runs on worker i mod
-    W.  A worker gets make_job, by name, args and its job ids in one pickled
-    message, in which the shared matrices of `_shared_matrix` travel as
-    descriptors and all else by value, makes its job, and sends its records
-    back, so they must pickle.  A job depends on its index alone, so the
-    records are those of the serial loop for every W.  When jobs raise, the
-    exception of the lowest one is raised, the one the serial loop meets
-    first, with a worker's traceback as its cause; a worker that ends
-    without its results raises ChildProcessError.  After any failure every
-    worker is killed and reaped.  While another thread uses the workers, or
-    inside a job of a runner with W > 1, the jobs run here.
+    Called inside `_crew`, which gives `workers`: this process and the
+    crew's warm workers; job i runs on worker i mod W.  A worker gets
+    make_job, by name, args and its job ids as one pickled message on its
+    Pipe, followed by the descriptor of each shared matrix in it
+    (`_JobPickler`), and sends its records back, so they must pickle.  A
+    job depends on its index alone, so the records are those of the serial
+    loop for every W.  When jobs raise, the exception of the lowest one is
+    raised, with a worker's traceback as its cause; a worker that ends
+    without its results raises ChildProcessError.  A failure while workers
+    have jobs kills and reaps them all.
     """
-    if workers < 2 or getattr(_thread, "nested", False) or not _lock.acquire(blocking=False):
-        done, failed = _share(make_job, args, range(count), False)
-    else:
-        finished = False
-        try:
-            w = min(workers, 1 + len(_workers))
-            shares = [(pid, sock, range(s, count, w)) for s, (pid, sock) in enumerate(_workers[: w - 1], 1)]
-            cpus = _placement()
-            for pid, sock, ids in shares:
-                message = io.BytesIO()
-                pickler = _JobPickler(message)
-                pickler.dump((make_job, args, ids, cpus))
-                try:
-                    _send(sock, message.getbuffer(), pickler.fds)
-                except OSError:
-                    raise _lost(pid, ids) from None
-            done, failed = _share(make_job, args, range(0, count, w), True)
-            for pid, sock, ids in shares:
-                try:
-                    theirs, their_failures = pickle.loads(_receive(sock)[0])
-                except (EOFError, OSError):
-                    raise _lost(pid, ids) from None
-                done.update(theirs)
-                for i, (exc, text) in their_failures.items():
-                    exc.__cause__ = ChildProcessError(f"job {i} in worker {pid}:\n{text}")
-                    failed[i] = exc
-            finished = not failed
-        finally:
-            if not finished:
-                _reap_workers()
-            _lock.release()
+    shares = [(pid, conn, range(s, count, workers)) for s, (pid, conn) in enumerate(_workers[: workers - 1], 1)]
+    finished = False
+    try:
+        cpus = _placement() if shares else None
+        for pid, conn, ids in shares:
+            message = io.BytesIO()
+            pickler = _JobPickler(message)
+            pickler.dump((make_job, args, ids, cpus))
+            try:
+                conn.send_bytes(message.getbuffer())
+                for fd in pickler.fds:
+                    multiprocessing.reduction.send_handle(conn, fd, pid)
+            except OSError:
+                raise _lost(pid, ids) from None
+        done, failed = _share(make_job, args, range(0, count, workers))
+        for pid, conn, ids in shares:
+            try:
+                theirs, their_failures = pickle.loads(conn.recv_bytes())
+            except (EOFError, OSError):
+                raise _lost(pid, ids) from None
+            done.update(theirs)
+            for i, (exc, text) in their_failures.items():
+                exc.__cause__ = ChildProcessError(f"job {i} in worker {pid}:\n{text}")
+                failed[i] = exc
+        finished = not failed
+    finally:
+        if shares and not finished:
+            _reap_workers()
     if failed:
         raise failed[min(failed)]
     return [done[i] for i in range(count)]
@@ -902,10 +864,11 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     The restarts run on W = min(R, usable CPUs, n * R // 500) processes
     (`_run_jobs`): this one and warm workers, forked on Linux when first
     wanted and kept for later fits, which map the cache's matrix from
-    shared memory.  They run in this process alone when W is 1, inside a
-    job of a runner with W > 1, inside a multiprocessing worker or while
-    another thread uses the workers.  The affinity mask, e.g. `taskset`,
-    sets the usable CPUs.  The result is bit-identical for every W.
+    shared memory.  The fit holds them (`_crew`) from before it builds its
+    cache to its last reply.  W is 1 inside a multiprocessing worker and
+    while their lock is taken: by another thread, or by a runner whose job
+    this fit is.  The affinity mask, e.g. `taskset`, sets the usable CPUs.
+    The result is bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n
@@ -928,10 +891,10 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
         if start.n != n:
             raise InputError("init_labels length does not match the data")
     # the workers are forked before the cache is built, so none holds it for life
-    workers = _hire(_worker_count(cfg.restarts, n))
-    cache = DistanceCache(x, cfg.alpha, out=_shared_matrix(n) if workers > 1 else None)
-    even_pairs = _pair_items(cache.dist).points if pairs and n % 2 == 0 else None
-    results = _run_jobs(_restarts, (cfg, cache, start, even_pairs, collect_trace), cfg.restarts, workers)
+    with _crew(_worker_count(cfg.restarts, n)) as workers:
+        cache = DistanceCache(x, cfg.alpha, out=_shared_matrix(n) if workers > 1 else None)
+        even_pairs = _pair_items(cache.dist).points if pairs and n % 2 == 0 else None
+        results = _run_jobs(_restarts, (cfg, cache, start, even_pairs, collect_trace), cfg.restarts, workers)
     best = min(results, key=lambda res: res.within)
 
     part = best.partition

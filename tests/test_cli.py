@@ -442,12 +442,26 @@ class TestOverflowingData:
             warnings.simplefilter("error")
             code = main(["bench", "--design", "normal", "--sweep-param", "separation",
                          "--sweep-values", "1e200", "--n", "40", "--reps", "2", "--out-dir", str(out)])
-        assert code == 2  # every cell failed: the chart has no series
+        assert code == 2  # every cell failed
         with open(out / "experiment_replicates.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * len(ALGORITHMS)
         assert all(r["failed"] == "true" and r["error"].startswith("InputError: data span too wide")
                    for r in rows)
+
+    def test_bench_whose_every_cell_failed_names_the_first_cause(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = main(["bench", "--design", "normal", "--sweep-param", "separation",
+                     "--sweep-values", "1e200", "--n", "40", "--reps", "2", "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("input error: every fit failed, the first (kgroups_first at separation 1e+200, replicate 0) "
+                "with InputError: data span too wide") in err
+        assert "chart" not in err
+        with open(out / "experiment_replicates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * len(ALGORITHMS) and all(r["failed"] == "true" for r in rows)
+        assert sorted(path.name for path in out.iterdir()) == ["experiment_replicates.csv", "experiment_timings.csv"]
 
 
 @pytest.fixture

@@ -1097,6 +1097,21 @@ def _assert_only_workers_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _through_a_pipe(obj):
+    # (obj unpickled at the far end of a Pipe, its descriptors, the message's size)
+    # as `_run_jobs` sends a job: the message, then each descriptor in turn
+    buf = io.BytesIO()
+    pickler = solver._JobPickler(buf)
+    pickler.dump(obj)
+    mine, theirs = multiprocessing.Pipe()
+    with mine, theirs:
+        mine.send_bytes(buf.getvalue())
+        for fd in pickler.fds:
+            multiprocessing.reduction.send_handle(mine, fd, os.getpid())
+        mapped = solver._JobUnpickler(io.BytesIO(theirs.recv_bytes()), theirs).load()
+    return mapped, pickler.fds, len(buf.getvalue())
+
+
 def _forks_in_a_pool_worker(x, cfg):
     calls = []
     real = os.fork
@@ -1166,13 +1181,40 @@ class TestParallelRestarts:
         # descriptor, not its bytes, and maps the same values read-only
         x = np.random.default_rng(5).standard_normal((200, 2))
         cache = DistanceCache(x, alpha, out=solver._shared_matrix(200))
-        buf = io.BytesIO()
-        pickler = solver._JobPickler(buf)
-        pickler.dump(cache)
-        assert len(pickler.fds) == 1 and len(buf.getvalue()) < 1000
-        mapped = solver._JobUnpickler(io.BytesIO(buf.getvalue()), pickler.fds).load()
+        mapped, fds, size = _through_a_pipe(cache)
+        assert len(fds) == 1 and size < 1000
         assert np.array_equal(mapped.dist, DistanceCache(x, alpha).dist)
         assert not mapped.dist.flags.writeable
+
+    def test_descriptors_follow_the_message_in_pickling_order(self):
+        # two matrices of different n and alpha, one of them twice: each
+        # descriptor is received when its matrix is met, and maps its own values
+        g = np.random.default_rng(6)
+        xa, xb = g.standard_normal((30, 2)), g.standard_normal((45, 3))
+        a = DistanceCache(xa, 0.5, out=solver._shared_matrix(30)).dist
+        b = DistanceCache(xb, 1.5, out=solver._shared_matrix(45)).dist
+        mapped, fds, _ = _through_a_pipe((b, a, b))
+        assert fds == [b.base.fd, a.base.fd, b.base.fd]
+        for got, x, alpha in zip(mapped, (xb, xa, xb), (1.5, 0.5, 1.5)):
+            assert np.array_equal(got, DistanceCache(x, alpha).dist) and not got.flags.writeable
+
+    def test_a_refused_fit_keeps_the_warm_workers(self, monkeypatch):
+        # the cache refuses the data after the crew has hired: no job was out,
+        # so the worker stays, the lock is free and the next fit forks nothing
+        _on_workers(monkeypatch, 2)
+        with pytest.raises(InputError, match="data span too wide"):
+            fit(np.array([0.0, 1e200, 2e200, -1e200, 5.0, 6.0]), FitConfig(k=2, restarts=4))
+        (pid, _), = solver._workers
+        os.kill(pid, 0)  # alive
+        assert not solver._lock.locked()
+        x = np.random.default_rng(7).standard_normal((30, 2))
+        cfg = FitConfig(k=2, restarts=4)
+        forks = _forks(monkeypatch)
+        got = _everything(fit(x, cfg, collect_trace=True))
+        assert forks == [] and solver._workers[0][0] == pid
+        _on_workers(monkeypatch, 1)
+        assert got == _everything(fit(x, cfg, collect_trace=True))
+        _assert_only_workers_left()
 
     def test_a_worker_runs_off_the_callers_cpu_and_leaves_its_mask_alone(self, monkeypatch):
         mask = os.sched_getaffinity(0)
@@ -1211,7 +1253,8 @@ class TestParallelRestarts:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {(t, j): serial[j] for t in range(4) for j in range(len(fits))}
-        assert solver._hire(2) == 2  # no thread's nesting mark leaked into this one
+        with solver._crew(2) as at_hand:
+            assert at_hand == 2  # no thread left the lock taken
         _assert_only_workers_left()
 
     def test_a_call_while_another_thread_holds_the_workers_runs_here(self, monkeypatch):
