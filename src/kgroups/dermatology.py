@@ -11,6 +11,7 @@ clustering algorithms.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from pathlib import Path
 
@@ -44,8 +45,9 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
 
     Rows containing any missing marker "?" are excluded (on the canonical
     UCI file that removes exactly the 8 records with missing age, leaving
-    358).  Attributes are standardized columnwise to mean 0 and sample
-    standard deviation 1; class codes map to 0-based truth labels.
+    358); a non-finite attribute (nan, inf, 1e999) raises IngestionError.
+    Attributes are standardized columnwise to mean 0 and sample standard
+    deviation 1; class codes map to 0-based truth labels.
     """
     p = Path(path)
     try:
@@ -82,6 +84,9 @@ def load_dermatology(path, expected_sha256=None) -> LabeledSample:
             cls = int(fields[N_ATTRIBUTES])
         except ValueError as exc:
             raise IngestionError(f"{path}: row {ln}: {exc}") from exc
+        bad = [j for j, v in enumerate(values) if not math.isfinite(v)]
+        if bad:  # float() takes nan, inf and 1e999
+            raise IngestionError(f"{path}: row {ln}, column {bad[0] + 1}: {fields[bad[0]].strip()!r} is not finite")
         if cls < 1:
             raise IngestionError(f"{path}: row {ln} has class {cls}, expected >= 1")
         rows.append(values)

@@ -82,27 +82,29 @@ class DistanceCache:
     """Precomputed symmetric n x n matrix of alpha-powered distances.
 
     Built once per data set and then shared read-only by every statistic and
-    by the solver; the matrix is write-protected after construction.  One
-    `cdist` call fills it in place, into `out` when given (a C-contiguous
-    float64 (n, n) array, as cdist's own `out`; `fit` passes a shared memory
-    mapping that its workers map too): (i, j) and (j, i) are computed
-    alike, so symmetry is exact, the diagonal is exactly zero, and each
-    entry equals the `pdist` one bit for bit (tested).
+    by the solver; the matrix and the data `x` it is built from, a C-ordered
+    copy, are write-protected after construction.  One `cdist` call fills
+    the matrix: (i, j) and (j, i) are computed alike, so symmetry is exact,
+    the diagonal is exactly zero, and each entry equals the `pdist` one bit
+    for bit (tested).  A cache pickles as its data and alpha, O(n * p)
+    bytes, and unpickling builds it afresh: the same `cdist` on the same
+    data, so in a fork of the same process the matrix is the same bits.
 
     Data whose column spans could overflow a float64 sum raise InputError
     before `cdist` runs (`_check_range`).  Distinct points whose distances
     all underflow to 0.0 raise NumericInvariantError.
     """
 
-    def __init__(self, data, alpha, *, out=None):
+    def __init__(self, data, alpha):
         self.alpha = validate_alpha(alpha)
-        x = as_data_matrix(data)
+        self.x = x = np.array(as_data_matrix(data), order="C")
+        x.setflags(write=False)
         self.n = x.shape[0]
         _check_range(x, self.alpha)
         if self.alpha == 2.0:
-            dist = cdist(x, x, "sqeuclidean", out=out)
+            dist = cdist(x, x, "sqeuclidean")
         else:
-            dist = cdist(x, x, "euclidean", out=out)
+            dist = cdist(x, x, "euclidean")
             if self.alpha != 1.0:  # x ** 1.0 is x: a pass over n x n saved
                 dist **= self.alpha
         # row 0 rules the underflow out at once unless point 0 is at distance
@@ -111,6 +113,9 @@ class DistanceCache:
             raise NumericInvariantError("distances between distinct points all underflow to 0.0")
         dist.setflags(write=False)
         self.dist = dist
+
+    def __reduce__(self):
+        return DistanceCache, (self.x, self.alpha)
 
     def __repr__(self):
         return f"DistanceCache(n={self.n}, alpha={self.alpha})"

@@ -71,11 +71,11 @@ lock from their hire (`_crew`) to their last reply.  A worker is forked
 the first time a call wants it, before the fit builds its cache, kept for
 later calls, and killed and reaped at exit or after a failure while it had
 jobs.  A restart job reaches a worker on its `multiprocessing.Pipe` as one
-small pickled message: the restart ids, the FitConfig, the start labels
-and the even-n pairs.  The cache's matrix is built in place into a shared
-memory file (`_shared_matrix`), whose descriptor follows the message and
-which the worker maps read-only: nothing is rebuilt or copied.  Before
-each job the worker moves itself to the usable CPUs other than the
+pickled message: the restart ids, the FitConfig, the start labels, the
+even-n pairs and the cache, which pickles as its data and alpha.  The
+worker rebuilds the matrix from the data, the same `cdist` on the same
+input in a fork of the same process, so it is the caller's bit for bit.
+Before each job the worker moves itself to the usable CPUs other than the
 caller's current one.  Restart r runs on worker r mod W and the records
 merge in restart order, so a fit is bit-identical for every W.  W is 1
 for R = 1, one usable CPU, n * R < 1000, off Linux, in a multiprocessing
@@ -88,16 +88,13 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
-import io
 import math
-import mmap
 import multiprocessing
 import os
 import pickle
 import signal
 import threading
 import traceback
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -567,18 +564,21 @@ def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
 
 # Each worker gets at least this many points times restarts of work.  A job
 # reaches a warm worker in one message, a round trip of about 0.1 ms, where
-# forking a worker and reaping it took about 3 ms.  Timed on 2 CPUs
-# (lognormal data, R = 5, k = 2 and 6, all three modes, serial and W = 2
-# fits interleaved), two workers took 1.12-1.25 times the serial time at
-# n * R = 200 (k = 2), 0.68-1.12 at 300 to 500, 0.67-1.04 at 750 and
-# 0.64-0.86 at 1000, a bench cell's fit (n = 200, R = 5).  So two workers
-# start at n * R = 1000; W > 2 has not been measured.
+# forking a worker and reaping it took about 3 ms; a fit's worker then
+# rebuilds the cache, 0.08-0.12 ms at n = 200, p <= 2 (5-12 ms at n = 2001,
+# p = 2, where it runs 2 restarts of about 0.1 s each).  Timed on 2 CPUs
+# while workers still mapped the caller's matrix (lognormal data, R = 5,
+# k = 2 and 6, all three modes, serial and W = 2 fits interleaved), two
+# workers took 1.12-1.25 times the serial time at n * R = 200 (k = 2),
+# 0.68-1.12 at 300 to 500, 0.67-1.04 at 750 and 0.64-0.86 at 1000, a bench
+# cell's fit (n = 200, R = 5).  So two workers start at n * R = 1000; W > 2
+# has not been measured.
 _WORK_PER_WORKER = 500
 
 
 def _usable_cpus() -> int:
-    # sched_getaffinity and memfd_create are Linux-only: elsewhere the restarts run serially
-    affinity = getattr(os, "sched_getaffinity", None) if hasattr(os, "memfd_create") else None
+    # sched_getaffinity is Linux-only: elsewhere the restarts run serially
+    affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
 
 
@@ -599,7 +599,6 @@ def _forget_workers():
     for _, conn in _workers:
         conn.close()
     _workers.clear()
-    _kept.clear()
     _lock = threading.Lock()
 
 
@@ -615,83 +614,6 @@ def _reap_workers():
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 atexit.register(_reap_workers)
-
-
-class _SharedFile(mmap.mmap):
-    """A memory file mapped whole; `fd` lets other processes map it too."""
-
-    def __del__(self):
-        os.close(self.fd)
-
-
-# A shared file of at most this many bytes (n <= 724) is kept, once its
-# matrix is gone, for the next one: a fresh file's pages fault in anew, 0.14
-# ms more than a heap array at n = 200.  Larger matrices get a file of their
-# own, as glibc maps large blocks afresh.
-_KEEP_BYTES = 1 << 22
-_kept = []  # at most one free shared file
-
-
-def _keep(mapped):
-    if not _kept:
-        _kept.append(mapped)
-
-
-def _shared_matrix(n) -> np.ndarray:
-    """An (n, n) float64 array in a memory file, which a job sent to the
-    workers carries as its descriptor (`_JobPickler`)."""
-    size = max(8 * n * n, 1)
-    try:
-        mapped = _kept.pop()  # atomic: no two threads take the same file
-    except IndexError:
-        mapped = None
-    if mapped is None or len(mapped) < size:
-        fd = os.memfd_create("kgroups-distances", os.MFD_CLOEXEC)
-        try:
-            os.ftruncate(fd, size)
-            mapped = _SharedFile(fd, size)
-        except BaseException:
-            os.close(fd)
-            raise
-        mapped.fd = fd
-    matrix = np.ndarray((n, n), np.float64, buffer=mapped)
-    if len(mapped) <= _KEEP_BYTES:
-        weakref.finalize(matrix, _keep, mapped)
-    return matrix
-
-
-class _JobPickler(pickle.Pickler):
-    """Pickles a shared matrix (`_shared_matrix`) as its shape, not by value,
-    and lists its descriptor in `fds`, once per occurrence in pickling order:
-    the descriptors follow the message in that order."""
-
-    def __init__(self, file):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.fds = []
-
-    def persistent_id(self, obj):
-        if type(obj) is np.ndarray and isinstance(obj.base, _SharedFile):
-            self.fds.append(obj.base.fd)
-            return obj.shape
-        return None
-
-
-class _JobUnpickler(pickle.Unpickler):
-    """Maps each shared matrix of a `_JobPickler` message read-only: its
-    descriptor is received from `conn` when the matrix is met, and closed."""
-
-    def __init__(self, file, conn):
-        super().__init__(file)
-        self.conn = conn
-
-    def persistent_load(self, shape):
-        fd = multiprocessing.reduction.recv_handle(self.conn)
-        try:
-            flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
-            view = mmap.mmap(fd, 8 * math.prod(shape), flags=flags, prot=mmap.PROT_READ)
-        finally:
-            os.close(fd)
-        return np.ndarray(shape, np.float64, buffer=view)
 
 
 def _share(make_job, args, ids):
@@ -720,10 +642,9 @@ def _serve(conn):
         placed = None
         while True:
             try:
-                data = conn.recv_bytes()
+                make_job, args, ids, cpus = conn.recv()
             except EOFError:
                 os._exit(0)
-            make_job, args, ids, cpus = _JobUnpickler(io.BytesIO(data), conn).load()
             if cpus != placed:
                 with contextlib.suppress(OSError):  # placement is a hint
                     os.sched_setaffinity(0, cpus)
@@ -735,7 +656,7 @@ def _serve(conn):
                 reply = pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
                 reply = pickle.dumps(({}, {ids[0]: (ChildProcessError(f"unpicklable results: {exc!r}"), "")}))
-            del make_job, args, done, failed  # let go of the shared matrix before waiting
+            del make_job, args, done, failed  # let go of the job's cache before waiting
             conn.send_bytes(reply)
     finally:
         os._exit(1)
@@ -794,32 +715,27 @@ def _run_jobs(make_job, args, count, workers) -> list:
     Called inside `_crew`, which gives `workers`: this process and the
     crew's warm workers; job i runs on worker i mod W.  A worker gets
     make_job, by name, args and its job ids as one pickled message on its
-    Pipe, followed by the descriptor of each shared matrix in it
-    (`_JobPickler`), and sends its records back, so they must pickle.  A
-    job depends on its index alone, so the records are those of the serial
-    loop for every W.  When jobs raise, the exception of the lowest one is
-    raised, with a worker's traceback as its cause; a worker that ends
-    without its results raises ChildProcessError.  A failure while workers
-    have jobs kills and reaps them all.
+    Pipe (a fit's cache goes as its data, `DistanceCache.__reduce__`) and
+    sends its records back, so they must pickle.  A job depends on its
+    index alone, so the records are those of the serial loop for every W.
+    When jobs raise, the exception of the lowest one is raised, with a
+    worker's traceback as its cause; a worker that ends without its results
+    raises ChildProcessError.  A failure while workers have jobs kills and
+    reaps them all.
     """
     shares = [(pid, conn, range(s, count, workers)) for s, (pid, conn) in enumerate(_workers[: workers - 1], 1)]
     finished = False
     try:
         cpus = _placement() if shares else None
         for pid, conn, ids in shares:
-            message = io.BytesIO()
-            pickler = _JobPickler(message)
-            pickler.dump((make_job, args, ids, cpus))
             try:
-                conn.send_bytes(message.getbuffer())
-                for fd in pickler.fds:
-                    multiprocessing.reduction.send_handle(conn, fd, pid)
+                conn.send((make_job, args, ids, cpus))
             except OSError:
                 raise _lost(pid, ids) from None
         done, failed = _share(make_job, args, range(0, count, workers))
         for pid, conn, ids in shares:
             try:
-                theirs, their_failures = pickle.loads(conn.recv_bytes())
+                theirs, their_failures = conn.recv()
             except (EOFError, OSError):
                 raise _lost(pid, ids) from None
             done.update(theirs)
@@ -863,12 +779,12 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
 
     The restarts run on W = min(R, usable CPUs, n * R // 500) processes
     (`_run_jobs`): this one and warm workers, forked on Linux when first
-    wanted and kept for later fits, which map the cache's matrix from
-    shared memory.  The fit holds them (`_crew`) from before it builds its
-    cache to its last reply.  W is 1 inside a multiprocessing worker and
-    while their lock is taken: by another thread, or by a runner whose job
-    this fit is.  The affinity mask, e.g. `taskset`, sets the usable CPUs.
-    The result is bit-identical for every W.
+    wanted and kept for later fits, each of which rebuilds the cache from
+    the data, bit for bit.  The fit holds them (`_crew`) from before it
+    builds its cache to its last reply.  W is 1 inside a multiprocessing
+    worker and while their lock is taken: by another thread, or by a
+    runner whose job this fit is.  The affinity mask, e.g. `taskset`, sets
+    the usable CPUs.  The result is bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n
@@ -892,7 +808,7 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
             raise InputError("init_labels length does not match the data")
     # the workers are forked before the cache is built, so none holds it for life
     with _crew(_worker_count(cfg.restarts, n)) as workers:
-        cache = DistanceCache(x, cfg.alpha, out=_shared_matrix(n) if workers > 1 else None)
+        cache = DistanceCache(x, cfg.alpha)
         even_pairs = _pair_items(cache.dist).points if pairs and n % 2 == 0 else None
         results = _run_jobs(_restarts, (cfg, cache, start, even_pairs, collect_trace), cfg.restarts, workers)
     best = min(results, key=lambda res: res.within)

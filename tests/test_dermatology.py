@@ -57,6 +57,18 @@ class TestLoader:
         with pytest.raises(IngestionError):
             load_dermatology(f)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_non_finite_attribute_names_its_row_and_column(self, tmp_path, token):
+        # refused before standardising, which would turn the whole column to NaN
+        f = make_fixture(tmp_path / "derm.data", n_rows=20, n_missing_age=0)
+        lines = f.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[3] = token
+        lines[5] = ",".join(fields)
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=f"row 6, column 4: '{token}' is not finite"):
+            load_dermatology(f)
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         f = make_fixture(tmp_path / "derm.data")
         with pytest.raises(IngestionError, match="sha256"):

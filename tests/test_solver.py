@@ -1,7 +1,7 @@
-import io
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -1097,21 +1097,6 @@ def _assert_only_workers_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _through_a_pipe(obj):
-    # (obj unpickled at the far end of a Pipe, its descriptors, the message's size)
-    # as `_run_jobs` sends a job: the message, then each descriptor in turn
-    buf = io.BytesIO()
-    pickler = solver._JobPickler(buf)
-    pickler.dump(obj)
-    mine, theirs = multiprocessing.Pipe()
-    with mine, theirs:
-        mine.send_bytes(buf.getvalue())
-        for fd in pickler.fds:
-            multiprocessing.reduction.send_handle(mine, fd, os.getpid())
-        mapped = solver._JobUnpickler(io.BytesIO(theirs.recv_bytes()), theirs).load()
-    return mapped, pickler.fds, len(buf.getvalue())
-
-
 def _forks_in_a_pool_worker(x, cfg):
     calls = []
     real = os.fork
@@ -1176,27 +1161,16 @@ class TestParallelRestarts:
         _assert_only_workers_left()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_a_job_carries_the_matrix_as_a_descriptor(self, alpha):
-        # the cache is built into the shared file; a job message holds its
-        # descriptor, not its bytes, and maps the same values read-only
-        x = np.random.default_rng(5).standard_normal((200, 2))
-        cache = DistanceCache(x, alpha, out=solver._shared_matrix(200))
-        mapped, fds, size = _through_a_pipe(cache)
-        assert len(fds) == 1 and size < 1000
-        assert np.array_equal(mapped.dist, DistanceCache(x, alpha).dist)
-        assert not mapped.dist.flags.writeable
-
-    def test_descriptors_follow_the_message_in_pickling_order(self):
-        # two matrices of different n and alpha, one of them twice: each
-        # descriptor is received when its matrix is met, and maps its own values
-        g = np.random.default_rng(6)
-        xa, xb = g.standard_normal((30, 2)), g.standard_normal((45, 3))
-        a = DistanceCache(xa, 0.5, out=solver._shared_matrix(30)).dist
-        b = DistanceCache(xb, 1.5, out=solver._shared_matrix(45)).dist
-        mapped, fds, _ = _through_a_pipe((b, a, b))
-        assert fds == [b.base.fd, a.base.fd, b.base.fd]
-        for got, x, alpha in zip(mapped, (xb, xa, xb), (1.5, 0.5, 1.5)):
-            assert np.array_equal(got, DistanceCache(x, alpha).dist) and not got.flags.writeable
+    def test_a_job_carries_the_data_not_the_matrix(self, alpha):
+        # a pickled cache is its data and alpha, O(n * p) bytes; unpickling
+        # rebuilds the same matrix bit for bit, read-only
+        n, p = 200, 2
+        cache = DistanceCache(np.random.default_rng(5).standard_normal((n, p)), alpha)
+        message = pickle.dumps(cache, pickle.HIGHEST_PROTOCOL)
+        assert 8 * n * p < len(message) < 8 * n * p + 1000
+        got = pickle.loads(message)
+        assert (got.n, got.alpha) == (n, alpha)
+        assert got.dist.tobytes() == cache.dist.tobytes() and not got.dist.flags.writeable
 
     def test_a_refused_fit_keeps_the_warm_workers(self, monkeypatch):
         # the cache refuses the data after the crew has hired: no job was out,
