@@ -64,23 +64,14 @@ lists.  A visit reads the factors, a list copy of the labels and, with one
 `tolist`, its item's distance sums through the ledger's row views
 (`_LedgerState`).
 
-A fit's restarts are independent, so `fit` runs them on W = min(R, usable
-CPUs, n * R // 500) processes of `_run_jobs`, the bench's replicate runner
-too: this process and W - 1 warm workers, which a call holds under one
-lock from their hire (`_crew`) to their last reply.  A worker is forked
-the first time a call wants it, before the fit builds its cache, kept for
-later calls, and killed and reaped at exit or after a failure while it had
-jobs.  A restart job reaches a worker on its `multiprocessing.Pipe` as one
-pickled message: the restart ids, the FitConfig, the start labels, the
-even-n pairs and the cache, which pickles as its data and alpha.  The
-worker rebuilds the matrix from the data, the same `cdist` on the same
+A fit's restarts are independent, so `fit` runs them on this process and
+warm workers (`_crew`, `_run_jobs`, the bench's replicate runner too); its
+docstring gives their number W.  A restart job reaches a worker as one
+pickled message on its `multiprocessing.Pipe`, the cache as its data and
+alpha, and the worker rebuilds the matrix: the same `cdist` on the same
 input in a fork of the same process, so it is the caller's bit for bit.
-Before each job the worker moves itself to the usable CPUs other than the
-caller's current one.  Restart r runs on worker r mod W and the records
-merge in restart order, so a fit is bit-identical for every W.  W is 1
-for R = 1, one usable CPU, n * R < 1000, off Linux, in a multiprocessing
-worker and wherever the lock is taken: by another thread, in a job of
-the caller's own share and in a worker, which holds its own for good.
+Restart r runs on worker r mod W and the records merge in restart order,
+so a fit is bit-identical for every W.
 """
 
 from __future__ import annotations
@@ -88,6 +79,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -565,14 +557,12 @@ def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
 # Each worker gets at least this many points times restarts of work.  A job
 # reaches a warm worker in one message, a round trip of about 0.1 ms, where
 # forking a worker and reaping it took about 3 ms; a fit's worker then
-# rebuilds the cache, 0.08-0.12 ms at n = 200, p <= 2 (5-12 ms at n = 2001,
-# p = 2, where it runs 2 restarts of about 0.1 s each).  Timed on 2 CPUs
-# while workers still mapped the caller's matrix (lognormal data, R = 5,
-# k = 2 and 6, all three modes, serial and W = 2 fits interleaved), two
-# workers took 1.12-1.25 times the serial time at n * R = 200 (k = 2),
-# 0.68-1.12 at 300 to 500, 0.67-1.04 at 750 and 0.64-0.86 at 1000, a bench
-# cell's fit (n = 200, R = 5).  So two workers start at n * R = 1000; W > 2
-# has not been measured.
+# rebuilds the cache, 0.08-0.12 ms at n = 200, p <= 2.  Timed on 2 CPUs
+# (lognormal data, R = 5, k = 2 and 6, all three modes, nine serial and
+# nine W = 2 fits interleaved, three runs), two workers took 0.73-1.49
+# times the serial time at n * R = 200, 0.66-1.11 at 300, 0.63-0.97 at
+# 500, 0.60-1.02 at 750 and 0.61-0.78 at 1000, a bench cell's fit (n = 200,
+# R = 5).  So two workers start at n * R = 1000; W > 2 has not been timed.
 _WORK_PER_WORKER = 500
 
 
@@ -582,10 +572,16 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
+# The workers' own n x n matrices together take at most this many bytes:
+# W - 1 <= _COPY_BYTES // (8 n^2), so a fit with n > 5792 runs serially.
+_COPY_BYTES = 1 << 28
+
+
 def _worker_count(restarts, n) -> int:
-    """W = min(R, usable CPUs, n * R // _WORK_PER_WORKER), at least 1, so
-    that each worker has work enough to pay for its jobs' messages."""
-    return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER))
+    """W = min(R, usable CPUs, n * R // _WORK_PER_WORKER, 1 + _COPY_BYTES
+    // (8 n^2)), at least 1: each worker has work enough to pay for its
+    jobs' messages, and their matrices stay within _COPY_BYTES."""
+    return max(1, min(restarts, _usable_cpus(), n * restarts // _WORK_PER_WORKER, 1 + _COPY_BYTES // (8 * n * n)))
 
 
 _workers = []  # (pid, this process's end of its Pipe) of each warm worker
@@ -616,14 +612,14 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_reap_workers)
 
 
-def _share(make_job, args, ids):
+def _share(make, ids):
     """({i: job(i)}, {i: exception}) for the jobs `ids` in order, job =
-    make_job(*args); stops at the first job that raises, as the serial loop
-    would, and files its exception."""
+    make(); stops at the first job that raises, as the serial loop would,
+    and files its exception, under ids[0] when make() raises."""
     done, failed = {}, {}
     i = ids[0] if ids else 0
     try:
-        job = make_job(*args)
+        job = make()
         for i in ids:
             done[i] = job(i)
     except Exception as exc:
@@ -635,28 +631,30 @@ def _serve(conn):
     """A warm worker's life: run each job the caller sends, on the CPUs it
     names, and send back its records and failures, the latter as
     (exception, formatted traceback) pairs, until the caller closes its
-    end.  Leaves with os._exit, whatever happens."""
+    end.  The job is unpickled in its share, so a failure to rebuild its
+    cache, a MemoryError say, is its first job's.  Leaves with os._exit,
+    whatever happens."""
     try:
         _lock.acquire()  # for good: a runner inside a job runs serially
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
         placed = None
         while True:
             try:
-                make_job, args, ids, cpus = conn.recv()
+                message, ids, cpus = conn.recv()
             except EOFError:
                 os._exit(0)
             if cpus != placed:
                 with contextlib.suppress(OSError):  # placement is a hint
                     os.sched_setaffinity(0, cpus)
                 placed = cpus
-            done, failed = _share(make_job, args, ids)
+            done, failed = _share(lambda: pickle.loads(message)(), ids)
             for i, exc in failed.items():
                 failed[i] = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
             try:
                 reply = pickle.dumps((done, failed), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
                 reply = pickle.dumps(({}, {ids[0]: (ChildProcessError(f"unpicklable results: {exc!r}"), "")}))
-            del make_job, args, done, failed  # let go of the job's cache before waiting
+            del message, done, failed  # let go of the job's results before waiting
             conn.send_bytes(reply)
     finally:
         os._exit(1)
@@ -714,25 +712,28 @@ def _run_jobs(make_job, args, count, workers) -> list:
 
     Called inside `_crew`, which gives `workers`: this process and the
     crew's warm workers; job i runs on worker i mod W.  A worker gets
-    make_job, by name, args and its job ids as one pickled message on its
-    Pipe (a fit's cache goes as its data, `DistanceCache.__reduce__`) and
-    sends its records back, so they must pickle.  A job depends on its
-    index alone, so the records are those of the serial loop for every W.
-    When jobs raise, the exception of the lowest one is raised, with a
-    worker's traceback as its cause; a worker that ends without its results
-    raises ChildProcessError.  A failure while workers have jobs kills and
-    reaps them all.
+    make_job, by name, with args, pickled once for all workers (a fit's
+    cache goes as its data, `DistanceCache.__reduce__`), and its job ids
+    as one message on its Pipe, and sends its records back, so they must
+    pickle.  A job depends on its index alone, so the records are those of
+    the serial loop for every W.  When jobs raise, the exception of the
+    lowest one is raised, with a worker's traceback as its cause; a worker
+    that ends without its results raises ChildProcessError.  A failure
+    while workers have jobs kills and reaps them all.
     """
     shares = [(pid, conn, range(s, count, workers)) for s, (pid, conn) in enumerate(_workers[: workers - 1], 1)]
+    make = functools.partial(make_job, *args)
     finished = False
     try:
-        cpus = _placement() if shares else None
+        if shares:
+            cpus = _placement()
+            message = pickle.dumps(make, pickle.HIGHEST_PROTOCOL)
         for pid, conn, ids in shares:
             try:
-                conn.send((make_job, args, ids, cpus))
+                conn.send((message, ids, cpus))
             except OSError:
                 raise _lost(pid, ids) from None
-        done, failed = _share(make_job, args, range(0, count, workers))
+        done, failed = _share(make, range(0, count, workers))
         for pid, conn, ids in shares:
             try:
                 theirs, their_failures = conn.recv()
@@ -777,14 +778,16 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     (`energy._within_term`), to 1e-9 relative, NaN included; the total and
     between terms are not computed.
 
-    The restarts run on W = min(R, usable CPUs, n * R // 500) processes
-    (`_run_jobs`): this one and warm workers, forked on Linux when first
-    wanted and kept for later fits, each of which rebuilds the cache from
-    the data, bit for bit.  The fit holds them (`_crew`) from before it
-    builds its cache to its last reply.  W is 1 inside a multiprocessing
-    worker and while their lock is taken: by another thread, or by a
-    runner whose job this fit is.  The affinity mask, e.g. `taskset`, sets
-    the usable CPUs.  The result is bit-identical for every W.
+    The restarts run on W = min(R, usable CPUs, n * R // 500, 1 + 2^28 //
+    (8 n^2)) processes (`_run_jobs`): this one and warm workers, forked on
+    Linux when first wanted and kept for later fits, each of which rebuilds
+    the cache from the data, bit for bit.  Their matrices together take at
+    most 256 MiB, so a fit with n > 5792 runs serially.  The fit holds
+    them (`_crew`) from before it builds its cache to its last reply.  W is
+    1 inside a multiprocessing worker and while their lock is taken: by
+    another thread, or by a runner whose job this fit is.  The affinity
+    mask, e.g. `taskset`, sets the usable CPUs.  The result is
+    bit-identical for every W.
 
     Second variation pairs the points by greedy closest matching on the
     cached powered distances and relocates pairs together; with an odd n

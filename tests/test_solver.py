@@ -1097,6 +1097,10 @@ def _assert_only_workers_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _no_room():
+    raise MemoryError("no room for the matrix")
+
+
 def _forks_in_a_pool_worker(x, cfg):
     calls = []
     real = os.fork
@@ -1171,6 +1175,19 @@ class TestParallelRestarts:
         got = pickle.loads(message)
         assert (got.n, got.alpha) == (n, alpha)
         assert got.dist.tobytes() == cache.dist.tobytes() and not got.dist.flags.writeable
+
+    def test_a_worker_that_cannot_rebuild_the_cache_reports_why(self, monkeypatch):
+        # a worker out of memory while it unpickles its job: the caller
+        # raises the worker's MemoryError, with its traceback, not a lost worker
+        monkeypatch.setattr(DistanceCache, "__reduce__", lambda self: (_no_room, ()))
+        _on_workers(monkeypatch, 2)
+        with pytest.raises(MemoryError, match="no room for the matrix") as got:
+            fit(np.arange(30.0), FitConfig(k=2, restarts=3))
+        assert "job 1 in worker" in str(got.value.__cause__)
+        assert "in _no_room" in str(got.value.__cause__)
+        assert solver._workers == []  # reaped after the failure
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_refused_fit_keeps_the_warm_workers(self, monkeypatch):
         # the cache refuses the data after the crew has hired: no job was out,
@@ -1399,6 +1416,9 @@ class TestParallelRestarts:
         (358, 20, 14),  # the dermatology case study
         (2001, 5, 5),
         (4000, 1, 1),
+        (2001, 10, 9),  # nine matrices of 32 MB: eight within _COPY_BYTES
+        (5792, 10, 2),  # the largest n with a worker
+        (5793, 10, 1),
     ])
     def test_the_default_constant_ties_the_workers_to_the_work(self, n, restarts, workers,
                                                                monkeypatch):
