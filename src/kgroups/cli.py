@@ -23,7 +23,7 @@ from .dermatology import (
     load_dermatology,
     run_dermatology,
 )
-from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError
+from .errors import IngestionError, InputError, KGroupsError, NumericInvariantError, check_fields
 from .harness import (
     DESIGNS,
     SWEEP_PARAMS,
@@ -185,7 +185,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_dermatology(args) -> int:
-    _check_algorithms(args.algorithms)  # before the data file is read
+    _check_algorithms(args.algorithms)  # these two checks come before the data file is found
+    check_fields({"restarts": args.restarts, "seed": args.seed}, restarts=1, seed=0)
     path = Path(args.path) if args.path else find_dermatology()
     if args.fetch:
         dest = path if path is not None else Path("data/dermatology.data")

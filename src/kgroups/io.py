@@ -34,6 +34,17 @@ def _is_float(tok: str) -> bool:
         return False
 
 
+def _label(tok: str, path, rn) -> int:
+    # int first: through float, 2^53 + 1 would read as 2^53; "3.0" is 3
+    try:
+        return int(tok)
+    except ValueError:
+        val = float(tok) if _is_float(tok) else math.nan
+    if not val.is_integer():  # also NaN and inf
+        raise InputError(f"{path}: bad label {tok!r} at row {rn}")
+    return int(val)
+
+
 def compact_labels(values) -> np.ndarray:
     """Integer label codes as 0..k-1 in sorted code order, an intp array."""
     return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.intp)
@@ -94,10 +105,8 @@ def read_data_csv(path, truth_last=False):
                 raise InputError(f"{path}: non-finite value {tok!r} at row {rn}, column {cn + 1}")
             vals.append(val)
         if label_col is not None:
-            lab = vals.pop(label_col)
-            if not lab.is_integer():  # also NaN and Inf
-                raise InputError(f"{path}: non-integer label {lab} at row {rn}")
-            labels.append(int(lab))
+            vals.pop(label_col)
+            labels.append(_label(row[label_col].strip(), path, rn))
         data.append(vals)
 
     x = np.asarray(data, dtype=np.float64)
@@ -114,12 +123,7 @@ def read_labels_csv(path) -> np.ndarray:
         toks = toks[1:]
         if not toks:
             raise InputError(f"{path} has a header but no labels")
-    vals = []
-    for rn, tok in enumerate(toks, start=1):
-        if not _is_float(tok) or not float(tok).is_integer():
-            raise InputError(f"{path}: bad label {tok!r} at row {rn}")
-        vals.append(int(float(tok)))
-    return compact_labels(vals)
+    return compact_labels([_label(tok, path, rn) for rn, tok in enumerate(toks, start=1)])
 
 
 def write_labels_csv(path, labels) -> None:

@@ -2,18 +2,19 @@
 
 Three fit modes, each listed once in `ALGORITHMS`, which maps the algorithm
 name the harness and the CLI use to the `FitConfig.mode` name, share one
-entry point (`fit`, which runs the mode cfg.mode names), one ledger sweep
-(`_LedgerState`) and the n x n distance cache:
+entry point (`fit`, which runs the mode cfg.mode names), the n x n distance
+cache, one start (`_start`) and one ledger sweep (`_LedgerState`) over
+items of m points that move together, the rows of an (items, m) array:
 
-* first_variation  - move one point at a time; a point is relocated when the
-  weighted energy statistic against its own cluster exceeds the minimum
-  weighted statistic against any other cluster.
-* second_variation - the first variation applied to m = 2 points: points are
-  pre-paired by greedy closest matching and pairs move together, which lets
-  the search escape some single-point local minima.  With an odd n each
-  restart holds one random point out of its pairing; the point waits in a
-  cluster of its own on the same cache and ledger, which the sweep never
-  reads or targets, and is inserted by the single-point rule at the end.
+* first_variation  - items are the (n, 1) single points; a point moves when
+  the weighted energy statistic against its own cluster exceeds the
+  minimum weighted statistic against any other cluster.
+* second_variation - the first variation applied to m = 2 points: items are
+  the (n/2, 2) pairs of greedy closest matching, which lets the search
+  escape some single-point local minima.  With an odd n each restart holds
+  one random point out of its pairing; the point waits in a cluster of its
+  own on the same cache and ledger, which the sweep never reads or
+  targets, and is inserted by the single-point rule at the end.
   The restart's objective is then a fresh ledger's on the final labels:
   the last re-anchor's fresh pair sums for the clusters the point did not
   join, and the joined cluster's summed afresh.
@@ -30,15 +31,15 @@ where xi is the two-sample energy statistic between S and the cluster
 (including S itself on the source side).  One kernel, `_relocation_costs`,
 evaluates both terms: the removal cost once, from the source cluster's
 factors, then the insertion cost of every other cluster in increasing id
-order, so ties go to the lowest id.  The single-point and pair sweeps, the
-insertion of a held-out point and `mth_variation_delta` all call it.  A
-move is applied only when this gain, as computed in floating point, is
-strictly positive.  A move whose exact gain is 0 is taken when rounding
-makes it positive, so the exact objective need not strictly decrease;
-`max_passes` bounds the search as well.  When a sweep stops, its
-maintained objective is checked against that of a fresh `ClusterSumLedger`,
-which is bound, and the sweep resumed, when the two drifted apart.  No BLAS
-call decides a move, so a fit is the same under every BLAS thread count.
+order, so ties go to the lowest id.  The sweep, the insertion of a
+held-out point and `mth_variation_delta` all call it.  A move is applied
+only when this gain, as computed in floating point, is strictly positive.
+A move whose exact gain is 0 is taken when rounding makes it positive, so
+the exact objective need not strictly decrease; `max_passes` bounds the
+search as well.  When a sweep stops, its maintained objective is checked
+against that of a fresh `ClusterSumLedger`, which is bound, and the sweep
+resumed, when the two drifted apart.  No BLAS call decides a move, so a
+fit is the same under every BLAS thread count.
 
 Most visits move nothing, and they come in long runs: on the benchmark's
 n = 2001, k = 6 first-variation fit, 60 % of the visits fall in runs of
@@ -103,7 +104,6 @@ from .partition import (
     _dispersion,
     _surjective_labels,
     move_point,
-    random_partition,
 )
 
 __all__ = [
@@ -268,32 +268,34 @@ _SCREEN_BLOCK = 128
 
 
 class _Items(NamedTuple):
-    """A sweep's items: (points, spread) tuples for `visit` and, for a pair
-    `screen`, the (items, 2) points and spreads as arrays (None for single
-    points: item t is point t).  Built once per item list."""
+    """A sweep's items, each a set of m points that moves together: the
+    (items, m) point array and each item's spread, half the distance
+    between its points (0.0, dist[i, i] / 2, for a single point), as arrays
+    for `screen` and as (points, spread) tuples for the visits."""
 
     items: list
-    points: np.ndarray | None = None
-    spreads: np.ndarray | None = None
+    points: np.ndarray
+    spreads: np.ndarray
 
 
-def _point_items(n) -> _Items:
-    return _Items([((i,), 0.0) for i in range(n)])
+def _items(dist, points) -> _Items:
+    """The items of `points`: np.arange(n)[:, None] for single points, or
+    the (n/2, 2) closest pairs."""
+    spreads = dist[points[:, 0], points[:, -1]] / 2.0
+    return _Items(list(zip(zip(*points.T.tolist()), spreads.tolist())), points, spreads)
 
 
 class _LedgerState:
-    """Ledger-backed sweep over items of m = 1 points or m = 2 points.
+    """Ledger-backed sweep over `_Items` of m = 1 or m = 2 points.
 
     Each item is (points, spread), spread being the mean distance inside the
-    points over their m*m ordered pairs; single points are the items
-    ((0,), 0.0), ((1,), 0.0), ... in index order.  `items` also carries
-    pairs as arrays (`_Items`).  The partition and the ledger cover all n
-    points of the cache.  With pairs on an odd n, one point `held` is in
-    no pair: it sits alone in an extra cluster k, which the sweep never
-    reads or targets (`coefs` and the objective cover clusters 0..k-1
-    only).  With pairs, `finish` returns the objective of the last re-anchor's
-    fresh ledger; with a held point it inserts the point first and sums
-    afresh only the cluster that it joins.
+    points over their m*m ordered pairs.  The partition and the ledger
+    cover all n points of the cache.  With pairs on an odd n, one point
+    `held` is in no pair: it sits alone in an extra cluster k, which the
+    sweep never reads or targets (`coefs` and the objective cover clusters
+    0..k-1 only).  With pairs, `finish` returns the objective of the last
+    re-anchor's fresh ledger; with a held point it inserts the point first
+    and sums afresh only the cluster that it joins.
 
     `sizes` and `within` are the partition's own count list and the
     ledger's own pair-sum list, which `move_point` updates.  The visits
@@ -306,8 +308,7 @@ class _LedgerState:
     def __init__(self, cache, partition, items: _Items, held=None):
         self.partition = partition
         self.items, self.points, self.spreads = items
-        self.pairs = items.points is not None
-        self.m = 2 if self.pairs else 1
+        self.m = self.points.shape[1]
         self.held = held
         self.k = partition.k - (held is not None)
         self.labels = partition.labels.tolist()
@@ -325,11 +326,11 @@ class _LedgerState:
 
         The numpy twin of the sweep's visit over blocks of items: the same
         operations in the same order, so the costs are bit-equal to the
-        visit's (single points skip `- spread`: x - 0.0 is x).  An item is
-        kept when its removal cost exceeds its lowest insertion cost, the
-        visit's own rule; fmin skips a NaN cost as the visit's `cost < best`
-        does.  An item whose cluster has n_j <= m gets a NaN removal weight,
-        and never moves.
+        visit's (an item's point columns add in order, as the visit adds
+        their rows).  An item is kept when its removal cost exceeds its
+        lowest insertion cost, the visit's own rule; fmin skips a NaN cost
+        as the visit's `cost < best` does.  An item whose cluster has
+        n_j <= m gets a NaN removal weight, and never moves.
         """
         n_items = len(self.items)
         mn, wterm, remove_w, insert_w = np.array(self.coefs, dtype=float).T[..., None]
@@ -338,13 +339,12 @@ class _LedgerState:
         block = _SCREEN_BLOCK
         while t < n_items:
             end = min(t + block, n_items)
-            if self.pairs:
-                pts = self.points[t:end]
-                frm = labels[pts[:, 0]]
-                xi = 2.0 * (sums[:, pts[:, 0]] + sums[:, pts[:, 1]]) / mn - self.spreads[t:end] - wterm
-            else:
-                frm = labels[t:end]
-                xi = 2.0 * sums[:, t:end] / mn - wterm
+            pts = self.points[t:end].T
+            frm = labels[pts[0]]
+            xi = sums.take(pts[0], axis=1)
+            for col in pts[1:]:
+                xi += sums.take(col, axis=1)
+            xi = 2.0 * xi / mn - self.spreads[t:end] - wterm
             cols = np.arange(end - t)
             removal = remove_w[frm, 0] * xi[frm, cols]
             costs = insert_w * xi
@@ -384,7 +384,7 @@ class _LedgerState:
         """The final partition and objective: the maintained one for single
         points, else a fresh ledger's on the final labels, bit for bit."""
         if self.held is None:
-            return self.partition, self.fresh_within if self.pairs else self.within_value()
+            return self.partition, self.fresh_within if self.m > 1 else self.within_value()
         labels = self.partition.labels.copy()
         # summed afresh: the ledger's row of the held point adds in another order
         row = self.ledger.dist[self.held]
@@ -413,7 +413,7 @@ def _sweep(state, max_passes, trace):
     Returns the passes, the moves and whether it converged (not cut off by
     max_passes, nor by it just after a re-anchor rebuilt the ledger).
     """
-    items, pairs, m = state.items, state.pairs, state.m
+    items, m = state.items, state.m
     partition, labels, sizes = state.partition, state.labels, state.sizes
     n_items = len(items)
     passes = moves = still = 0
@@ -433,7 +433,7 @@ def _sweep(state, max_passes, trace):
             frm = labels[a]
             still += 1
             if coefs[frm][2] is not None:
-                cross = (rows[a] + rows[pts[1]]).tolist() if pairs else rows[a].tolist()
+                cross = (rows[a] + rows[pts[1]]).tolist() if m > 1 else rows[a].tolist()
                 removal, best, to = _relocation_costs(cross, coefs, spread, frm)
                 if removal > best:
                     for i in pts:
@@ -444,7 +444,7 @@ def _sweep(state, max_passes, trace):
                     moves += 1
                     still = 0
                     if trace is not None:
-                        trace.append((pts if pairs else a, frm, to, state.within_value()))
+                        trace.append((pts if m > 1 else a, frm, to, state.within_value()))
             t += 1
         passes += 1
         # a drifted ledger is rebuilt, then swept again while passes are left
@@ -505,26 +505,20 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def _pair_items(dist, held=None, pairs=None) -> _Items:
-    # sweep items of second variation: the closest pairs (`pairs`, an
-    # (items, 2) array, when already found) with half their distance
-    if pairs is None:
-        pairs = np.array(min_distance_pairs(dist, held), dtype=np.intp)
-    spreads = dist[pairs[:, 0], pairs[:, 1]] / 2.0
-    return _Items(list(zip(map(tuple, pairs.tolist()), spreads.tolist())), pairs, spreads)
-
-
-def _pair_state(cache, k, rng, even_items) -> _LedgerState:
-    """Second-variation start: with an odd n one random point sits out in
-    cluster k and the rest are paired afresh; pairs get random nonempty
-    cluster labels."""
-    n = cache.n
-    held = int(rng.integers(n)) if n % 2 else None
-    items = even_items if held is None else _pair_items(cache.dist, held)
-    labels = np.full(n, k, dtype=np.intp)
-    labels[items.points] = _surjective_labels(len(items.items), k, rng)[:, None]
-    part = Partition(labels, k + (held is not None))
-    return _LedgerState(cache, part, items, held)
+def _start(cache, k, rng, items, start=None) -> _LedgerState:
+    """A restart's state: from `start`, else one random nonempty cluster
+    label per item, which for single points is random_partition(n, k, rng)'s
+    draw.  `items` None: with pairs on an odd n, one random point sits out
+    in cluster k and the rest are paired afresh."""
+    n, held = cache.n, None
+    if items is None:
+        held = int(rng.integers(n))
+        items = _items(cache.dist, np.array(min_distance_pairs(cache.dist, held), dtype=np.intp))
+    if start is None:
+        labels = np.full(n, k, dtype=np.intp)
+        labels[items.points] = _surjective_labels(len(items.items), k, rng)[:, None]
+        start = Partition(labels, k + (held is not None))
+    return _LedgerState(cache, start, items, held)
 
 
 class _Restart(NamedTuple):
@@ -540,14 +534,9 @@ class _Restart(NamedTuple):
 
 def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
     """Restart r of a fit: a sweep from its own random start, or from `start`
-    when r is 0 and one is given.  `items` are the sweep's items: the single
-    points, or the pairs of an even n (None: each odd-n restart pairs afresh)."""
-    rng = _restart_rng(cfg.rng_seed, r)
-    if cfg.mode == "second_variation":
-        state = _pair_state(cache, cfg.k, rng, items)
-    else:
-        part = start if r == 0 and start is not None else random_partition(cache.n, cfg.k, rng)
-        state = _LedgerState(cache, part, items)
+    when r is 0 and one is given.  `items` are the sweep's items (None: each
+    odd-n second-variation restart pairs afresh)."""
+    state = _start(cache, cfg.k, _restart_rng(cfg.rng_seed, r), items, start if r == 0 else None)
     trace = [] if collect_trace else None
     passes, moves, converged = _sweep(state, cfg.max_passes, trace)
     part, w = state.finish()
@@ -756,13 +745,10 @@ def _lost(pid, ids) -> ChildProcessError:
     return ChildProcessError(f"worker {pid} ended without the results of jobs {list(ids)}")
 
 
-def _restarts(cfg, cache, start, pairs, collect_trace):
-    """The job of a fit: restart r.  `pairs` are the pairs of an even-n
-    second-variation fit (None otherwise); each process makes its items."""
-    if cfg.mode != "second_variation":
-        items = _point_items(cache.n)
-    else:
-        items = None if pairs is None else _pair_items(cache.dist, pairs=pairs)
+def _restarts(cfg, cache, start, points, collect_trace):
+    """The job of a fit: restart r.  `points` are the items' points, None
+    for odd-n second variation; each process makes its items."""
+    items = None if points is None else _items(cache.dist, points)
     return lambda r: _restart(r, cfg, cache, start, items, collect_trace)
 
 
@@ -812,8 +798,11 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     # the workers are forked before the cache is built, so none holds it for life
     with _crew(_worker_count(cfg.restarts, n)) as workers:
         cache = DistanceCache(x, cfg.alpha)
-        even_pairs = _pair_items(cache.dist).points if pairs and n % 2 == 0 else None
-        results = _run_jobs(_restarts, (cfg, cache, start, even_pairs, collect_trace), cfg.restarts, workers)
+        if not pairs:
+            points = np.arange(n)[:, None]
+        else:  # None: each odd-n restart holds a point out and pairs the rest
+            points = None if n % 2 else np.array(min_distance_pairs(cache.dist), dtype=np.intp)
+        results = _run_jobs(_restarts, (cfg, cache, start, points, collect_trace), cfg.restarts, workers)
     best = min(results, key=lambda res: res.within)
 
     part = best.partition

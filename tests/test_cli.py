@@ -59,6 +59,30 @@ class TestIo:
         write_labels_csv(p, [2, 0, 1, 1])
         assert read_labels_csv(p).tolist() == [2, 0, 1, 1]
 
+    def test_labels_above_2_to_the_53_stay_distinct(self, tmp_path):
+        # float64 reads 2^53 + 1 as 2^53: integer tokens are parsed as ints
+        big = [2**53 + 1, 2**53, 0, 2**64 + 1, 2**64]
+        text = "\n".join(map(str, big)) + "\n"
+        codes = [2, 1, 0, 4, 3]
+        assert read_labels_csv(write_csv(tmp_path / "l.csv", "label\n" + text)).tolist() == codes
+        rows = "".join(f"{i}.5,{lab}\n" for i, lab in enumerate(big))
+        _, truth = read_data_csv(write_csv(tmp_path / "d.csv", "x,label\n" + rows))
+        assert truth.tolist() == codes
+        _, truth = read_data_csv(write_csv(tmp_path / "t.csv", rows), truth_last=True)
+        assert truth.tolist() == codes
+
+    def test_float_labels_of_integer_value_are_read_and_others_refused(self, tmp_path):
+        from kgroups import InputError
+
+        assert read_labels_csv(write_csv(tmp_path / "l.csv", "3.0\n-1.0\n1e3\n")).tolist() == [1, 0, 2]
+        _, truth = read_data_csv(write_csv(tmp_path / "d.csv", "1,3.0\n2,-1\n"), truth_last=True)
+        assert truth.tolist() == [1, 0]
+        for bad in ("1.5", "nan", "inf", "-inf", "1e400"):
+            with pytest.raises(InputError, match=f"bad label '{bad}' at row 2"):
+                read_labels_csv(write_csv(tmp_path / "l.csv", f"0\n{bad}\n"))
+            with pytest.raises(InputError, match=f"bad label '{bad}' at row 2"):
+                read_data_csv(write_csv(tmp_path / "d.csv", f"1,0\n2,{bad}\n"), truth_last=True)
+
     def test_sample_export_round_trips_with_truth_column(self, tmp_path):
         from kgroups import Component, MixtureSpec, csv_text, generate
 
@@ -351,6 +375,21 @@ class TestDermatologyCommand:
             assert main(["dermatology", "--path", str(path), "--algorithms", "kmeans,kmeans"]) == 2
             assert "input error: algorithms must be unique" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("flag, value, message", [("--restarts", "0", "restarts must be an integer >= 1"),
+                                                      ("--seed", "-1", "seed must be an integer >= 0")])
+    def test_bad_restarts_or_seed_exits_2_before_the_file_is_found_or_fetched(
+            self, flag, value, message, tmp_path, capsys, monkeypatch):
+        import kgroups.cli as cli
+
+        fetches = []
+        monkeypatch.setattr(cli, "fetch_dermatology", lambda *a, **kw: fetches.append(a))
+        monkeypatch.delenv("KGROUPS_DERMATOLOGY_DATA", raising=False)
+        monkeypatch.chdir(tmp_path)
+        for extra in ([], ["--fetch"], ["--path", str(tmp_path / "absent.data")]):
+            assert main(["dermatology", flag, value, *extra]) == 2
+            assert f"input error: {message}, got {value}" in capsys.readouterr().err
+        assert fetches == []
 
     def test_report_rows_and_files(self, tmp_path, capsys):
         from test_dermatology import make_fixture

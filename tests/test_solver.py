@@ -35,6 +35,7 @@ from kgroups import (
     min_distance_pairs,
     move_point,
     mth_variation_delta,
+    random_partition,
 )
 
 from conftest import (
@@ -781,15 +782,39 @@ class TestPublicSurface:
 MODE_RUNS = [("first_variation", 1.0), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
 
 
+def _fit_items(cache, pairs):
+    # a fit's sweep items: single points, the pairs of an even n, or None
+    # (each odd-n restart pairs afresh)
+    if not pairs:
+        return solver._items(cache.dist, np.arange(cache.n)[:, None])
+    return None if cache.n % 2 else solver._items(cache.dist, np.array(min_distance_pairs(cache.dist)))
+
+
 def _sweep_state(x, k, alpha, mode, rng):
     # a restart's state as `fit` builds it, from a random start
     cache = DistanceCache(x, alpha)
-    n = cache.n
-    if mode == "second_variation":
-        items = solver._pair_items(cache.dist) if n % 2 == 0 else None
-        return solver._pair_state(cache, k, rng, items)
-    part = Partition(solver._surjective_labels(n, k, rng), k)
-    return solver._LedgerState(cache, part, solver._point_items(n))
+    return solver._start(cache, k, rng, _fit_items(cache, mode == "second_variation"))
+
+
+class TestStart:
+    @pytest.mark.parametrize("n, k", [(30, 1), (30, 2), (30, 6), (30, 29), (30, 30), (7, 7), (200, 6)])
+    def test_single_point_items_draw_the_random_partition(self, n, k):
+        # one label per (n, 1) item is random_partition's draw from the same
+        # generator, bit for bit; k = n takes `_surjective_labels`'
+        # permutation and n = 30, k = 29 its Poisson sizes, which no fit of
+        # the trace corpus reaches
+        cache = DistanceCache(np.random.default_rng(n).standard_normal((n, 2)), 1.0)
+        items = _fit_items(cache, pairs=False)
+        assert items.items == [((i,), 0.0) for i in range(n)]
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = solver._start(cache, k, rng, items)
+            drawn = random_partition(n, k, twin)
+            assert state.m == 1 and state.held is None and state.k == k
+            assert state.partition.labels.dtype == drawn.labels.dtype
+            assert np.array_equal(state.partition.labels, drawn.labels)
+            assert state.partition.counts == drawn.counts
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSweepState:
@@ -917,12 +942,8 @@ class TestScreen:
             if trial % 3 == 1:
                 x = rng.integers(-2, 3, (n, 1)).astype(float)  # exact ties
             cache = DistanceCache(x, alpha)
-            if pairs:
-                items = solver._pair_items(cache.dist) if n % 2 == 0 else None
-                state = solver._pair_state(cache, k, rng, items)
-            else:
-                part = Partition(rng.permutation(np.arange(n) % k), k)
-                state = solver._LedgerState(cache, part, solver._point_items(n))
+            start = None if pairs else Partition(rng.permutation(np.arange(n) % k), k)
+            state = solver._start(cache, k, rng, _fit_items(cache, pairs), start)
             # from the start, then nearer convergence, where most items stay
             for passes in (0, 1, 3):
                 if passes:
