@@ -59,8 +59,7 @@ def _add_bench(sub):
     p = sub.add_parser("bench", help="run a replicated mixture benchmark",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--spec", default=None,
-                   help="experiment spec file (JSON; TOML on Python 3.11+); "
-                        "excludes the flags that set spec fields")
+                   help="experiment spec file (JSON); excludes the flags that set spec fields")
     p.add_argument("--design", choices=DESIGNS)
     p.add_argument("--sweep-param", choices=SWEEP_PARAMS)
     p.add_argument("--sweep-values", type=_parse_list,
@@ -148,21 +147,12 @@ def _cmd_fit(args) -> int:
 
 
 def _load_spec_file(path) -> dict:
-    text = Path(path).read_bytes()
-    toml = str(path).endswith(".toml")
-    if toml:
-        try:
-            import tomllib
-        except ModuleNotFoundError as exc:
-            raise InputError(
-                "TOML spec files need Python 3.11+; use JSON on this interpreter"
-            ) from exc
     try:
-        raw = tomllib.loads(text.decode()) if toml else json.loads(text)
-    except ValueError as exc:  # also UnicodeDecodeError and tomllib.TOMLDecodeError
-        raise InputError(f"{path}: not valid {'TOML' if toml else 'JSON'} ({exc})") from exc
+        raw = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
-        raise InputError(f"{path}: expected a table/object at top level")
+        raise InputError(f"{path}: expected an object at top level")
     return raw
 
 

@@ -122,14 +122,15 @@ def fetch_dermatology(dest, url=DERMATOLOGY_URL, timeout=60) -> Path:
 
 
 def find_dermatology() -> Path | None:
-    """Locate a local copy: $KGROUPS_DERMATOLOGY_DATA, then ./data/, then cwd."""
+    """Locate a local copy: $KGROUPS_DERMATOLOGY_DATA, else ./data/, then
+    cwd.  A variable that is set must name a file: IngestionError if not,
+    rather than a fit of some other copy."""
     env = os.environ.get(ENV_VAR)
-    candidates = ([env] if env else []) + list(_DEFAULT_PATHS)
-    for c in candidates:
-        p = Path(c)
-        if p.is_file():
-            return p
-    return None
+    if env:
+        if not Path(env).is_file():
+            raise IngestionError(f"{ENV_VAR}={env} names no file")
+        return Path(env)
+    return next((p for p in map(Path, _DEFAULT_PATHS) if p.is_file()), None)
 
 
 def run_dermatology(sample: LabeledSample, algorithms, restarts, seed) -> dict:

@@ -25,8 +25,6 @@ __all__ = [
     "INDEX_NAMES",
     "rand_index",
     "adjusted_rand",
-    "diag_index",
-    "kappa_index",
     "index_report",
 ]
 
@@ -199,30 +197,15 @@ def _matched_pairs(table: ContingencyTable):
     return diagonal / n, chance / (n * n)
 
 
-def _kappa(p_o: float, p_e: float) -> float:
-    if p_e == 1.0:
-        return 1.0 if p_o == 1.0 else 0.0
-    return (p_o - p_e) / (1.0 - p_e)
-
-
-def diag_index(table: ContingencyTable) -> float:
-    """Best-case proportion of points on the matched diagonal."""
-    return _matched_pairs(table)[0]
-
-
-def kappa_index(table: ContingencyTable) -> float:
-    """Cohen's kappa on the optimally matched table.
-
-    p_o is the matched diagonal mass, p_e the chance agreement implied by
-    the matched marginals; kappa = (p_o - p_e) / (1 - p_e), with the p_e = 1
-    boundary defined as 1 when agreement is perfect and 0 otherwise.
-    """
-    return _kappa(*_matched_pairs(table))
-
-
 @dataclass(frozen=True)
 class IndexReport:
-    """The four agreement indices for one pair of partitions."""
+    """The four agreement indices for one pair of partitions.
+
+    diag is the matched diagonal mass p_o.  kappa is Cohen's kappa on the
+    matched table, (p_o - p_e) / (1 - p_e) with p_e the chance agreement of
+    the matched marginals; at p_e = 1 it is 1 when agreement is perfect and
+    0 otherwise.
+    """
 
     diag: float
     kappa: float
@@ -237,9 +220,8 @@ INDEX_NAMES = tuple(f.name for f in fields(IndexReport))
 def index_report(table: ContingencyTable) -> IndexReport:
     """All four indices computed from one contingency table (one matching)."""
     p_o, p_e = _matched_pairs(table)
-    return IndexReport(
-        diag=p_o,
-        kappa=_kappa(p_o, p_e),
-        rand=rand_index(table),
-        crand=adjusted_rand(table),
-    )
+    if p_e == 1.0:
+        kappa = 1.0 if p_o == 1.0 else 0.0
+    else:
+        kappa = (p_o - p_e) / (1.0 - p_e)
+    return IndexReport(diag=p_o, kappa=kappa, rand=rand_index(table), crand=adjusted_rand(table))

@@ -4,6 +4,8 @@ Data CSVs hold numeric columns with an optional header row; a column named
 "label" (any case) is treated as the ground-truth labels.  Missing markers
 ("?" or empty cells) and non-finite features ("nan", "inf") are rejected
 with row/column diagnostics, since the clustering input must be complete.
+Row 1 is a header only when none of its cells is a number, and a UTF-8
+byte-order mark is skipped, so a typo or an editor's mark loses no data row.
 """
 
 from __future__ import annotations
@@ -50,9 +52,15 @@ def compact_labels(values) -> np.ndarray:
     return np.unique(np.asarray(values), return_inverse=True)[1].astype(np.intp)
 
 
+def _is_header(row) -> bool:
+    # a row of names: no number, and not only missing markers
+    toks = [tok.strip() for tok in row]
+    return not any(map(_is_float, toks)) and any(tok not in _MISSING for tok in toks)
+
+
 def _read_rows(path) -> list:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     rows = [row for row in csv.reader(text.splitlines()) if row]
@@ -69,7 +77,7 @@ def read_data_csv(path, truth_last=False):
     """
     rows = _read_rows(path)
     header = None
-    if any(not _is_float(tok) and tok.strip() not in _MISSING for tok in rows[0]):
+    if _is_header(rows[0]):
         header = [tok.strip() for tok in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -119,7 +127,7 @@ def read_labels_csv(path) -> np.ndarray:
     if any(len(r) != 1 for r in rows):
         raise InputError(f"{path}: expected exactly one column of labels")
     toks = [r[0].strip() for r in rows]
-    if not _is_float(toks[0]):
+    if _is_header(rows[0]):
         toks = toks[1:]
         if not toks:
             raise InputError(f"{path} has a header but no labels")

@@ -17,7 +17,6 @@ from .errors import InputError, RejectedMoveError, check_fields, check_index
 __all__ = [
     "Partition",
     "ClusterSumLedger",
-    "random_partition",
     "move_point",
 ]
 
@@ -114,19 +113,6 @@ def _surjective_labels(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
             return rng.permutation(np.repeat(np.arange(k), sizes))
 
 
-def random_partition(n, k, rng_seed) -> Partition:
-    """Random initial partition of n points into k nonempty clusters.
-
-    Deterministic for a fixed integer seed; also accepts an existing
-    numpy Generator for callers that manage their own streams.
-    """
-    check_fields({"n": n, "k": k}, n=1, k=1)
-    n, k = int(n), int(k)
-    if k > n:
-        raise InputError(f"cannot split {n} points into {k} nonempty clusters")
-    return Partition(_surjective_labels(n, k, np.random.default_rng(rng_seed)), k)
-
-
 def _dispersion(within, sizes) -> float:
     """The clustering objective, sum of within[j]/n_j, its terms summed in
     sorted order so the value is bitwise invariant under relabeling clusters;
@@ -186,10 +172,6 @@ class ClusterSumLedger:
     @property
     def within(self) -> np.ndarray:
         return _frozen(self.pair_sums)
-
-    def within_dispersion(self, partition: Partition) -> float:
-        """Current value of the clustering objective (sum of within[j]/n_j)."""
-        return _dispersion(self.pair_sums, partition.counts)
 
 
 def _cluster_column(dist, idx):

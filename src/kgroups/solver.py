@@ -507,9 +507,9 @@ def _restart_rng(seed: int, restart: int) -> np.random.Generator:
 
 def _start(cache, k, rng, items, start=None) -> _LedgerState:
     """A restart's state: from `start`, else one random nonempty cluster
-    label per item, which for single points is random_partition(n, k, rng)'s
-    draw.  `items` None: with pairs on an odd n, one random point sits out
-    in cluster k and the rest are paired afresh."""
+    label per item, `_surjective_labels`' draw over the items.  `items`
+    None: with pairs on an odd n, one random point sits out in cluster k and
+    the rest are paired afresh."""
     n, held = cache.n, None
     if items is None:
         held = int(rng.integers(n))

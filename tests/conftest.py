@@ -20,12 +20,35 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def open_descriptors() -> dict:
+    """{descriptor: what it names} for this process; {} without /proc/self/fd."""
+    fds = {}
+    if os.path.isdir("/proc/self/fd"):
+        for name in os.listdir("/proc/self/fd"):
+            try:
+                fds[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+            except FileNotFoundError:  # the listing's own descriptor, closed since
+                pass
+    return fds
+
+
+def leaked_descriptors(before) -> dict:
+    """The open descriptors that `before`, an `open_descriptors()`, lacks."""
+    return {fd: what for fd, what in open_descriptors().items() if fd not in before}
+
+
 @pytest.fixture(autouse=True)
 def _fresh_workers():
     # warm restart workers see the code as it was when they were forked, so
-    # each test starts without any and forks its own after its patches
+    # each test starts without any and forks its own after its patches.  A
+    # descriptor still open once they are reaped fails the test: a
+    # multiprocessing Pipe end left open warns of nothing, not even in dev mode
+    before = open_descriptors()
     yield
     kgroups.solver._reap_workers()
+    leaked = leaked_descriptors(before)
+    if leaked:
+        pytest.fail(f"descriptors left open: {leaked}")
 
 
 def brute_powered_distance(x, y, alpha):
@@ -103,7 +126,7 @@ def _weighted_cost(cross, within, nj, spread, m, leaving):
 def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
     """First variation visiting every point in index order, on numpy state.
 
-    Each restart starts from `random_partition` on the restart's stream and
+    Each restart starts from `_surjective_labels` on the restart's stream and
     visits every point in turn (no screen), reading the partition's labels
     and sizes and the ledger's sums as numpy arrays.  A point leaves its
     cluster of size n1 >= 2 for the cluster j != own of lowest cost (ties
@@ -111,12 +134,14 @@ def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
     `move_point`.  The sweep ends after n consecutive visits move nothing or
     max_passes passes; then, or at max_passes, a ledger whose objective
     drifted from disco's by more than 1e-9 relative is rebuilt and the sweep
-    resumes.  Only public pieces are used.  Returns the winning restart's
-    labels, objective, passes, moves and (point, source, target,
+    resumes.  Besides that draw and the objective (`_dispersion` of the
+    ledger's pair sums), only public pieces are used.  Returns the winning
+    restart's labels, objective, passes, moves and (point, source, target,
     within_after) trace, every restart's objective and the rebuilds over
     all restarts.
     """
-    from kgroups import ClusterSumLedger, DistanceCache, disco, move_point, random_partition
+    from kgroups import ClusterSumLedger, DistanceCache, Partition, disco, move_point
+    from kgroups.partition import _dispersion, _surjective_labels
 
     cache = DistanceCache(x, alpha)
     n = cache.n
@@ -124,7 +149,7 @@ def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
     rebuilds = 0
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        part = random_partition(n, k, rng)
+        part = Partition(_surjective_labels(n, k, rng), k)
         ledger = ClusterSumLedger(part, cache)
         trace = []
         passes = moves = still = 0
@@ -146,7 +171,7 @@ def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
                     if removal > best:
                         move_point(part, ledger, i, to)
                         moves += 1
-                        trace.append((i, frm, to, ledger.within_dispersion(part)))
+                        trace.append((i, frm, to, _dispersion(ledger.pair_sums, part.counts)))
                         moved = True
                 still = 0 if moved else still + 1
                 if still >= n:
@@ -154,11 +179,11 @@ def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
             passes += 1
             if still >= n or passes == max_passes:
                 fresh = disco(part, cache).within
-                if abs(ledger.within_dispersion(part) - fresh) > 1e-9 * abs(fresh):
+                if abs(_dispersion(ledger.pair_sums, part.counts) - fresh) > 1e-9 * abs(fresh):
                     ledger = ClusterSumLedger(part, cache)
                     rebuilds += 1
                     still = 0
-        w = ledger.within_dispersion(part)
+        w = _dispersion(ledger.pair_sums, part.counts)
         results.append((w, part.labels.copy(), passes, moves, trace))
     w, labels, passes, moves, trace = min(results, key=lambda res: res[0])
     return {"labels": labels, "within": w, "passes": passes, "moves": moves, "trace": trace,
@@ -173,12 +198,14 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
     sweeps the pairs over a ledger on the submatrix (rebuilt when its
     objective drifts from disco's by more than 1e-9 relative), then inserts
     the point where it costs least and rebuilds the ledger on the full
-    cache.  Only public pieces are used.  Returns the winning restart's
+    cache.  Besides the objective (`_dispersion` of a ledger's pair sums),
+    only public pieces are used.  Returns the winning restart's
     labels, objective, passes, moves and (pair, source, target,
     within_after) trace in full indices, plus every restart's objective.
     """
     from kgroups import ClusterSumLedger, DistanceCache, Partition, disco
     from kgroups import min_distance_pairs, move_point
+    from kgroups.partition import _dispersion
 
     cache = DistanceCache(x, alpha)
     n = cache.n
@@ -225,7 +252,7 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
                         move_point(part, ledger, b, to)
                         moves += 1
                         trace.append(((int(active[a]), int(active[b])), frm, to,
-                                      ledger.within_dispersion(part)))
+                                      _dispersion(ledger.pair_sums, part.counts)))
                         moved = True
                 still = 0 if moved else still + 1
                 if still >= len(pairs):
@@ -233,7 +260,7 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
             passes += 1
             if still >= len(pairs) or passes == max_passes:
                 fresh = disco(part, sub).within
-                if abs(ledger.within_dispersion(part) - fresh) > 1e-9 * abs(fresh):
+                if abs(_dispersion(ledger.pair_sums, part.counts) - fresh) > 1e-9 * abs(fresh):
                     ledger = ClusterSumLedger(part, sub)
                     still = 0
         full = np.insert(part.labels, held, -1)
@@ -244,7 +271,7 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
                  for j in range(k)]
         full[held] = int(np.argmin(costs))
         final = Partition(full, k)
-        w = ClusterSumLedger(final, cache).within_dispersion(final)
+        w = _dispersion(ClusterSumLedger(final, cache).pair_sums, final.counts)
         results.append((w, final.labels, passes, moves, trace))
     w, labels, passes, moves, trace = min(results, key=lambda res: res[0])
     return {"labels": labels, "within": w, "passes": passes, "moves": moves,

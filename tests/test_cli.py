@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -46,6 +47,44 @@ class TestIo:
         x, truth = read_data_csv(f, truth_last=True)
         assert x.shape == (2, 2)
         assert truth.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("first", ["x0,x1", "x0,label", "a,?"])
+    def test_row_1_of_names_is_a_header(self, tmp_path, first):
+        x, truth = read_data_csv(write_csv(tmp_path / "h.csv", f"{first}\n3,4\n5,6\n7,8\n"))
+        assert x.shape == ((3, 1) if "label" in first else (3, 2))
+        assert (truth is None) == ("label" not in first)
+
+    @pytest.mark.parametrize("first, error", [
+        ("1.2.3,4", "non-numeric value '1.2.3'"), ("x,2", "non-numeric value 'x'"),
+        ("?,?", "missing value"), ("nan,2", "non-finite value 'nan'"),
+    ])
+    def test_row_1_with_a_number_or_no_name_is_data(self, tmp_path, first, error):
+        # a mixed row is data, so a typo is reported, not read as a header
+        from kgroups import InputError
+
+        f = write_csv(tmp_path / "d.csv", f"{first}\n3,4\n5,6\n7,8\n")
+        with pytest.raises(InputError, match=re.escape(f"{error} at row 1, column 1")):
+            read_data_csv(f)
+
+    def test_fit_refuses_a_typo_in_row_1(self, tmp_path, capsys):
+        f = write_csv(tmp_path / "typo.csv", "1.2.3,4\n5,6\n7,8\n9,10\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--input", f, "--k", "2", "--out-dir", str(out)]) == 2
+        assert "non-numeric value '1.2.3' at row 1, column 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_text("\ufeff1,2\n3,4\n5,6\n", encoding="utf-8")
+        x, truth = read_data_csv(data)
+        assert x.tolist() == [[1, 2], [3, 4], [5, 6]] and truth is None
+        data.write_text("\ufeffx,label\n1,0\n3,1\n", encoding="utf-8")
+        assert read_data_csv(data)[1].tolist() == [0, 1]
+        labels = tmp_path / "bom_labels.csv"
+        labels.write_text("\ufeff0\n1\n1\n", encoding="utf-8")
+        assert read_labels_csv(labels).tolist() == [0, 1, 1]
+        labels.write_text("\ufefflabel\n1\n0\n", encoding="utf-8")
+        assert read_labels_csv(labels).tolist() == [1, 0]
 
     def test_missing_marker_rejected_with_location(self, tmp_path):
         f = write_csv(tmp_path / "holes.csv", "1,2\n?,4\n")
@@ -557,23 +596,17 @@ class TestSettingsByFieldName:
             alpha=0.7, separation=4.0, dim=2, restarts=2, max_passes=20,
         )]
 
-    def test_toml_json_and_flags_build_equal_specs(self, tmp_path, captured):
-        pytest.importorskip("tomllib")
+    def test_json_and_flags_build_equal_specs(self, tmp_path, captured):
         spec = {"design": "lognormal", "sweep_param": "dim", "sweep_values": [1, 3],
                 "algorithms": ["kgroups_second"], "reps": 4, "base_seed": 2, "n": 50}
-        toml = tmp_path / "spec.toml"
-        toml.write_text(
-            'design = "lognormal"\nsweep_param = "dim"\nsweep_values = [1, 3]\n'
-            'algorithms = ["kgroups_second"]\nreps = 4\nbase_seed = 2\nn = 50\n'
-        )
         js = tmp_path / "spec.json"
         js.write_text(json.dumps(spec))
         flags = ["--design", "lognormal", "--sweep-param", "dim", "--sweep-values", "1,3",
                  "--algorithms", "kgroups_second", "--reps", "4", "--seed", "2", "--n", "50"]
-        for argv in (["--spec", str(toml)], ["--spec", str(js)], flags):
+        for argv in (["--spec", str(js)], flags):
             assert main(["bench", *argv]) == 2
-        assert len(captured) == 3
-        assert captured[0] == captured[1] == captured[2]
+        assert len(captured) == 2
+        assert captured[0] == captured[1]
         assert captured[0].sweep_values == (1.0, 3.0)
 
     @pytest.mark.parametrize("flag", [
@@ -600,18 +633,17 @@ class TestUnreadableInput:
         ("validate --pred {labels} --truth {bad}.csv", 2, "input"),
         ("dermatology --path {bad}.data", 3, "ingestion"),
         ("bench --spec {bad}.json", 2, "input"),
-        pytest.param("bench --spec {bad}.toml", 2, "input", marks=pytest.mark.skipif(
-            sys.version_info < (3, 11), reason="TOML spec files need Python 3.11+")),
-        pytest.param("bench --spec {malformed}.toml", 2, "input", marks=pytest.mark.skipif(
-            sys.version_info < (3, 11), reason="TOML spec files need Python 3.11+")),
+        ("bench --spec {bad}.toml", 2, "input"),
+        # JSON is the one spec format, whatever the suffix or the interpreter
+        ("bench --spec {valid}.toml", 2, "input"),
     ])
     def test_undecodable_file_is_a_reported_error(self, tmp_path, capsys, argv, code, kind):
         for suffix in (".csv", ".data", ".json", ".toml"):
             (tmp_path / f"bad{suffix}").write_bytes(b"label\n\x80\x81\xfe\n")
-        (tmp_path / "malformed.toml").write_text('design = "normal\nreps = [\n')
+        (tmp_path / "valid.toml").write_text('design = "normal"\nsweep_param = "dim"\n')
         labels = tmp_path / "labels.csv"
         write_labels_csv(labels, [0, 1])
-        paths = {"bad": tmp_path / "bad", "malformed": tmp_path / "malformed", "labels": labels}
+        paths = {"bad": tmp_path / "bad", "valid": tmp_path / "valid", "labels": labels}
         assert main(argv.format(**paths).split()) == code
         err = capsys.readouterr().err
         assert err.startswith(f"{kind} error: ")

@@ -1,9 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from kgroups import IngestionError
+from kgroups.cli import main
 from kgroups.dermatology import (
     N_ATTRIBUTES,
     fetch_dermatology,
@@ -114,6 +116,18 @@ class TestDiscovery:
         f = make_fixture(tmp_path / "derm.data", n_rows=20, n_missing_age=0)
         monkeypatch.setenv("KGROUPS_DERMATOLOGY_DATA", str(f))
         assert find_dermatology() == f
+
+    def test_env_var_naming_no_file_is_ingestion_error(self, tmp_path, monkeypatch, capsys):
+        # not a fall back to another copy: ./data/dermatology.data is here
+        (tmp_path / "data").mkdir()
+        make_fixture(tmp_path / "data" / "dermatology.data", n_rows=20, n_missing_age=0)
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "absent.data"
+        monkeypatch.setenv("KGROUPS_DERMATOLOGY_DATA", str(missing))
+        with pytest.raises(IngestionError, match=re.escape(f"KGROUPS_DERMATOLOGY_DATA={missing} names no file")):
+            find_dermatology()
+        assert main(["dermatology", "--out-dir", str(tmp_path / "out")]) == 3
+        assert str(missing) in capsys.readouterr().err
 
     def test_absent_everywhere_returns_none(self, tmp_path, monkeypatch):
         monkeypatch.delenv("KGROUPS_DERMATOLOGY_DATA", raising=False)

@@ -25,7 +25,7 @@ from kgroups import (
     run_experiment,
 )
 from kgroups.harness import default_alpha, design_mixture
-from kgroups.partition import Partition, random_partition
+from kgroups.partition import Partition
 from test_solver import _assert_only_workers_left, _forks, _on_workers
 
 
@@ -143,7 +143,6 @@ class TestSpecValidation:
     @pytest.mark.parametrize("build, field", [
         (lambda: design_mixture("normal", dim=2.5), "dim"),
         (lambda: design_mixture("normal", n=20.7), "n"),
-        (lambda: random_partition(10, 2.5, 0), "k"),
         (lambda: Partition([0, 1, 1], 2.9), "k"),
         # label arrays: no float truncated, no bool read as 0 or 1, no 2-D array flattened
         (lambda: Partition([0.5, 1.7, 0.2], 2), "labels"),

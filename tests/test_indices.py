@@ -10,9 +10,7 @@ from kgroups import (
     ContingencyTable,
     InputError,
     adjusted_rand,
-    diag_index,
     index_report,
-    kappa_index,
     rand_index,
 )
 
@@ -89,21 +87,21 @@ class TestAdjustedRand:
 class TestDiag:
     def test_identical_partitions(self):
         a = np.array([0, 0, 1, 1])
-        assert diag_index(table(a, a)) == 1.0
+        assert index_report(table(a, a)).diag == 1.0
 
     def test_swapped_labels_resolved_by_matching(self):
         a = np.array([0, 0, 1, 1])
         b = np.array([1, 1, 0, 0])
-        assert diag_index(table(a, b)) == 1.0
+        assert index_report(table(a, b)).diag == 1.0
 
     def test_crossed_pairs(self):
         # best one-to-one matching places 2 of the 4 points on the diagonal
-        assert diag_index(table(*CROSSED)) == 0.5
+        assert index_report(table(*CROSSED)).diag == 0.5
 
     def test_rectangular_table_padded(self):
         a = np.array([0, 0, 1, 1, 2, 2])
         b = np.array([0, 0, 1, 1, 1, 1])
-        assert diag_index(table(a, b)) == pytest.approx(4 / 6)
+        assert index_report(table(a, b)).diag == pytest.approx(4 / 6)
 
     def test_matches_exhaustive_permutation_search(self):
         # Diag is the largest matched diagonal; among the matchings that reach
@@ -135,8 +133,9 @@ class TestDiag:
             (least, chance), rest = scores[0], scores[1:]
             tied += any(d == least and c != chance for d, c in rest)
             p_o, p_e = -least / t.n, chance / t.n**2
-            assert diag_index(t) == p_o
-            assert kappa_index(t) == ((p_o - p_e) / (1.0 - p_e) if p_e != 1.0 else 1.0)
+            rep = index_report(t)
+            assert rep.diag == p_o
+            assert rep.kappa == ((p_o - p_e) / (1.0 - p_e) if p_e != 1.0 else 1.0)
         assert tied >= 20  # the tie-break decided kappa on many of these tables
 
     def test_assignment_matches_scipy_optimal_total(self):
@@ -162,11 +161,11 @@ class TestDiag:
 class TestKappa:
     def test_identical_partitions(self):
         a = np.array([0, 0, 1, 1, 2])
-        assert kappa_index(table(a, a)) == 1.0
+        assert index_report(table(a, a)).kappa == 1.0
 
     def test_crossed_pairs(self):
         # matched table has p_o = p_e = 0.5, so chance-corrected agreement is 0
-        assert kappa_index(table(*CROSSED)) == 0.0
+        assert index_report(table(*CROSSED)).kappa == 0.0
 
     def test_chance_only_agreement_small_positive(self):
         # matching to the best diagonal overfits chance slightly, so the
@@ -176,7 +175,7 @@ class TestKappa:
         for _ in range(300):
             a = rng.integers(0, 2, size=100)
             b = rng.integers(0, 2, size=100)
-            vals.append(kappa_index(table(a, b)))
+            vals.append(index_report(table(a, b)).kappa)
         mean = float(np.mean(vals))
         assert 0.0 <= mean <= 0.15
 
@@ -190,7 +189,8 @@ class TestIndexReport:
         b = np.array([0, 1, 1, 2, 2])
         rep = index_report(table(a, b))
         assert len(calls) == 1
-        assert (rep.diag, rep.kappa) == (diag_index(table(a, b)), kappa_index(table(a, b)))
+        # the one matching with 3 of 5 points on the diagonal, chance 8 / 25
+        assert (rep.diag, rep.kappa) == (3 / 5, (3 / 5 - 8 / 25) / (1.0 - 8 / 25))
 
 
 class TestSparseLabels:

@@ -19,7 +19,6 @@ from kgroups import (
     RejectedMoveError,
     disco,
     move_point,
-    random_partition,
 )
 
 from conftest import random_instance
@@ -60,36 +59,30 @@ class _CountingRng:
         return getattr(self.rng, name)
 
 
-class TestRandomPartition:
+def _surjective(n, k, seed):
+    return kpartition._surjective_labels(n, k, np.random.default_rng(seed))
+
+
+class TestSurjectiveLabels:
     def test_n_equals_k_gives_singletons(self):
-        p = random_partition(4, 4, 123)
-        assert p.sizes.tolist() == [1, 1, 1, 1]
-        assert sorted(p.labels.tolist()) == [0, 1, 2, 3]
+        assert sorted(_surjective(4, 4, 123).tolist()) == [0, 1, 2, 3]
 
     def test_deterministic_for_seed(self):
-        a = random_partition(200, 2, 42)
-        b = random_partition(200, 2, 42)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(_surjective(200, 2, 42), _surjective(200, 2, 42))
 
     def test_every_cluster_nonempty(self):
         for seed in range(50):
-            p = random_partition(7, 6, seed)
-            assert p.sizes.min() >= 1
-
-    def test_k_exceeding_n_rejected(self):
-        with pytest.raises(InputError):
-            random_partition(3, 4, 0)
+            assert np.bincount(_surjective(7, 6, seed), minlength=6).min() >= 1
 
     def test_mean_cluster_size_unbiased(self):
         # Monte-Carlo over 1000 seeds: E[size of cluster 0] = 100 for n=200, k=2
-        sizes = [random_partition(200, 2, seed).sizes[0] for seed in range(1000)]
+        sizes = [np.bincount(_surjective(200, 2, seed), minlength=2)[0] for seed in range(1000)]
         assert abs(float(np.mean(sizes)) - 100.0) <= 5.0
 
     @pytest.mark.parametrize("n, k", [(30, 29), (200, 100), (2001, 1990)])
     def test_k_close_to_n_falls_back_to_block_sizes(self, n, k):
         # plain rejection would need ~1e10, ~5e7 and far more draws here
-        p = random_partition(n, k, 3)
-        assert p.sizes.min() >= 1
+        assert np.bincount(_surjective(n, k, 3), minlength=k).min() >= 1
 
     @pytest.mark.parametrize("n, k", [(30, 29), (200, 100), (2001, 1990)])
     def test_starts_past_the_draw_bound_skip_rejection(self, n, k, monkeypatch):

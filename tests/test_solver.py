@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import kgroups
 import kgroups.energy as kenergy
+import kgroups.partition as kpartition
 import kgroups.solver as solver
 from kgroups import (
     ClusterSumLedger,
@@ -35,14 +36,15 @@ from kgroups import (
     min_distance_pairs,
     move_point,
     mth_variation_delta,
-    random_partition,
 )
 
 from conftest import (
     brute_within,
     first_variation_reference,
     hartigan_wong_transfers,
+    leaked_descriptors,
     odd_second_variation_reference,
+    open_descriptors,
     random_instance,
 )
 
@@ -763,6 +765,7 @@ class TestPublicSurface:
 
         import kgroups.energy as energy
         import kgroups.harness as harness
+        import kgroups.indices as indices
         import kgroups.io as kio
         import kgroups.partition as partition
         from kgroups.charts import line_chart_svg
@@ -773,7 +776,9 @@ class TestPublicSurface:
                 (kio, "write_sample_csv"), (Partition, "copy"), (partition, "_as_rng"),
                 (kgroups, "FIT_MODES"), (solver, "FIT_MODES"), (kgroups, "fit_mode"), (solver, "fit_mode"),
                 (solver, "FitMode"), (kgroups, "ResultTable"), (harness, "ResultTable"),
-                (harness.ExperimentSpec, "meta"))
+                (harness.ExperimentSpec, "meta"), (kgroups, "diag_index"), (indices, "diag_index"),
+                (kgroups, "kappa_index"), (indices, "kappa_index"), (kgroups, "random_partition"),
+                (partition, "random_partition"), (ClusterSumLedger, "within_dispersion"))
         for owner, name in gone:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
@@ -798,18 +803,18 @@ def _sweep_state(x, k, alpha, mode, rng):
 
 class TestStart:
     @pytest.mark.parametrize("n, k", [(30, 1), (30, 2), (30, 6), (30, 29), (30, 30), (7, 7), (200, 6)])
-    def test_single_point_items_draw_the_random_partition(self, n, k):
-        # one label per (n, 1) item is random_partition's draw from the same
-        # generator, bit for bit; k = n takes `_surjective_labels`'
-        # permutation and n = 30, k = 29 its Poisson sizes, which no fit of
-        # the trace corpus reaches
+    def test_single_point_items_draw_surjective_labels(self, n, k):
+        # one label per (n, 1) item is `_surjective_labels`' draw of n labels
+        # from the same generator, bit for bit; k = n takes its permutation
+        # and n = 30, k = 29 its Poisson sizes, which no fit of the trace
+        # corpus reaches
         cache = DistanceCache(np.random.default_rng(n).standard_normal((n, 2)), 1.0)
         items = _fit_items(cache, pairs=False)
         assert items.items == [((i,), 0.0) for i in range(n)]
         for seed in range(3):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             state = solver._start(cache, k, rng, items)
-            drawn = random_partition(n, k, twin)
+            drawn = Partition(kpartition._surjective_labels(n, k, twin), k)
             assert state.m == 1 and state.held is None and state.k == k
             assert state.partition.labels.dtype == drawn.labels.dtype
             assert np.array_equal(state.partition.labels, drawn.labels)
@@ -1008,7 +1013,7 @@ class TestLedgerBuilds:
             final = result.partition
             if mode == "second_variation" and n % 2:
                 fresh = inner(final, DistanceCache(x, alpha))
-                assert result.within == fresh.within_dispersion(final)
+                assert result.within == kpartition._dispersion(fresh.pair_sums, final.counts)
             else:
                 assert np.array_equal(builds[-1], final.labels)
 
@@ -1018,7 +1023,8 @@ class TestLedgerBuilds:
         solver._sweep(state, 50, None)
         final, w = state.finish()
         assert final is state.partition
-        assert w == ClusterSumLedger(final, state.ledger.dist).within_dispersion(final)
+        fresh = ClusterSumLedger(final, state.ledger.dist)
+        assert w == kpartition._dispersion(fresh.pair_sums, final.counts)
 
 
 SCALE_MODES = [("first_variation", 1.0), ("first_variation", 2.0), ("second_variation", 1.0),
@@ -1146,6 +1152,20 @@ def _fit_sequence():
             init = None if mode == "second_variation" else np.arange(n) % 3
             out.append((x, FitConfig(k=3, alpha=alpha, restarts=5 + n % 2, rng_seed=n, mode=mode), init))
     return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_the_descriptor_check_sees_a_pipe_end_left_open():
+    # conftest's per-test check; the ends are closed here, so this test passes it
+    before = open_descriptors()
+    ends = multiprocessing.Pipe()
+    try:
+        leaked = leaked_descriptors(before)
+        assert sorted(leaked) == sorted(end.fileno() for end in ends)
+        assert all(what.startswith("socket:") for what in leaked.values())
+    finally:
+        for end in ends:
+            end.close()
 
 
 class TestParallelRestarts:
