@@ -43,7 +43,7 @@ def _add_fit(sub):
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True, help="input CSV (optional header)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--alpha", type=float, help="distance exponent in (0,2]")
+    p.add_argument("--alpha", type=float, help="distance exponent in (0,2]; 2 only with --mode kmeans")
     p.add_argument("--mode", choices=ALGORITHMS, default="kgroups_first")
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-passes", type=int)
@@ -113,6 +113,8 @@ def _given(args, names) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    if args.mode == "kmeans" and getattr(args, "alpha", 2.0) != 2.0:
+        raise InputError(f"--mode kmeans fits at alpha 2; got --alpha {args.alpha!r}")
     x, truth = kio.read_data_csv(args.input, truth_last=args.truth_last)
     settings = _given(args, {f.name for f in fields(FitConfig)})
     cfg = fit_config(settings.pop("mode"), **settings)
@@ -130,7 +132,7 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "seed": result.seed,
         "per_restart_within": result.per_restart_within,
-        "sizes": result.partition.sizes.tolist(),
+        "sizes": result.partition.counts,
     }
     if truth is not None:
         table = ContingencyTable.from_labels(truth, result.partition.labels)

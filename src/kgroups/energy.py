@@ -165,12 +165,19 @@ def _index_set(idx, n: int, name: str) -> np.ndarray:
 
 
 def _dist_for(cache) -> np.ndarray:
-    # Accept a DistanceCache or a raw distance matrix.
-    return cache.dist if hasattr(cache, "dist") else np.asarray(cache)
+    """The matrix of a DistanceCache, or `cache` itself as an array when it
+    is a square 2-D matrix of real numbers; InputError for anything else."""
+    if isinstance(cache, DistanceCache):
+        return cache.dist
+    dist = np.asarray(cache)
+    if dist.dtype.kind not in "iuf" or dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise InputError(f"cache must be a DistanceCache or a square 2-D matrix of real numbers, "
+                         f"got {dist.dtype} {dist.shape}")
+    return dist
 
 
-# Bytes of distance rows that one step of a per-fit pass over the matrix
-# (the ledger build, `disco`) gathers: 16 rows at n = 2001, 163 at n = 200.
+# Bytes of distance rows that one step of a pass over the matrix (the
+# ledger build, the statistics) gathers: 16 rows at n = 2001, 163 at n = 200.
 # A gather of a whole cluster's rows grows with the cluster (over 4 MiB at
 # n = 2001), and one past glibc's mmap threshold is mapped fresh and
 # page-faulted every time.
@@ -183,21 +190,24 @@ def _row_blocks(dist, idx):
     return (dist[idx[s : s + step]] for s in range(0, idx.size, step))
 
 
+def _two_sets(a, b, n: int):
+    """The index sets a and b checked, the smaller (of one size, the lexically
+    first) first, so that swapping a and b cannot change the rounding."""
+    ai, bi = _index_set(a, n, "a"), _index_set(b, n, "b")
+    return (bi, ai) if (ai.size, ai.tolist()) > (bi.size, bi.tolist()) else (ai, bi)
+
+
 def dispersion(a, b, cache) -> float:
     """Mean alpha-powered distance between two index sets.
 
     Bitwise symmetric in its arguments (the summed block is oriented
     canonically, so swapping a and b cannot change the rounding);
     dispersion(a, a, cache) averages over all ordered pairs including the
-    zero diagonal.
+    zero diagonal.  The block is summed through `_row_blocks`, not copied.
     """
     dist = _dist_for(cache)
-    ai = _index_set(a, dist.shape[0], "a")
-    bi = _index_set(b, dist.shape[0], "b")
-    if (ai.size, ai.tolist()) > (bi.size, bi.tolist()):
-        ai, bi = bi, ai
-    block = dist[np.ix_(ai, bi)]
-    return float(block.sum() / block.size)
+    ai, bi = _two_sets(a, b, dist.shape[0])
+    return sum(float(rows[:, bi].sum()) for rows in _row_blocks(dist, ai)) / (ai.size * bi.size)
 
 
 def energy_statistic(a, b, cache) -> float:
@@ -205,20 +215,15 @@ def energy_statistic(a, b, cache) -> float:
 
     2*G(a,b) - G(a,a) - G(b,b) where G is `dispersion`.  Nonnegative up to
     rounding for every exponent in (0, 2], and zero exactly when the two
-    samples have identical empirical distributions.
+    samples have identical empirical distributions.  The three block sums
+    come from one `_within_term` pass over the rows of both sets.
     """
     dist = _dist_for(cache)
-    n = dist.shape[0]
-    ai = _index_set(a, n, "a")
-    bi = _index_set(b, n, "b")
+    ai, bi = _two_sets(a, b, dist.shape[0])
     if np.intersect1d(ai, bi).size:
         raise InputError("index sets overlap; the two samples must be disjoint")
-    g_a = dispersion(ai, ai, cache)
-    g_b = dispersion(bi, bi, cache)
-    # canonical evaluation order keeps the statistic bitwise symmetric
-    if (ai.size, ai.tolist()) > (bi.size, bi.tolist()):
-        g_a, g_b = g_b, g_a
-    return 2.0 * dispersion(ai, bi, cache) - g_a - g_b
+    _, (g_a, g_b), pair = _within_term(dist, [ai, bi], between=True)
+    return 2.0 * (pair[0][1] / (ai.size * bi.size)) - g_a - g_b
 
 
 def _within_term(dist, groups, between=False):
@@ -251,10 +256,10 @@ class DiscoResult:
 def disco(partition, cache) -> DiscoResult:
     """Decompose total dispersion into within and between components.
 
-    `partition` may be a Partition object or a plain label array.  All three
-    components are evaluated from their own formulas; in particular
-    `between` is never derived as total - within, so the identity
-    total = within + between remains a meaningful consistency check.
+    `partition` may be a Partition or a label array, which is checked as a
+    Partition.  All three components come from their own formulas; in
+    particular `between` is never derived as total - within, so the
+    identity total = within + between remains a meaningful consistency check.
 
     The block sums come from one pass over each cluster's rows through
     `_row_blocks`, the one row-block reader, which the ledger build shares:
@@ -265,18 +270,15 @@ def disco(partition, cache) -> DiscoResult:
     a 4 MiB mmap threshold (numpy 2.4).  A fit's final check calls
     `_within_term` alone and skips the total and between terms.
     """
+    from .partition import Partition  # deferred: partition imports this module
+
     dist = _dist_for(cache)
-    labels = _labels(getattr(partition, "labels", partition), "labels")
-    n = dist.shape[0]
-    if labels.shape[0] != n:
-        raise InputError(f"partition covers {labels.shape[0]} points, cache has {n}")
-    k = getattr(partition, "k", int(labels.max()) + 1)
-    if k > n:
-        raise InputError(f"k={k} clusters exceed the n={n} points")
-    groups = [np.flatnonzero(labels == j) for j in range(k)]
-    for j, g in enumerate(groups):
-        if g.size == 0:
-            raise InputError(f"cluster {j} is empty")
+    if not isinstance(partition, Partition):
+        partition = Partition(partition)
+    n, k = dist.shape[0], partition.k
+    if partition.n != n:
+        raise InputError(f"partition covers {partition.n} points, cache has {n}")
+    groups = [partition.cluster_indices(j) for j in range(k)]
 
     total = (n / 2.0) * float(dist.sum()) / (n * n)
     within, g_within, pair = _within_term(dist, groups, between=True)

@@ -24,8 +24,7 @@ __all__ = [
 class Partition:
     """Cluster labels for n points plus their cluster sizes.
 
-    `counts` is the live list of the sizes, Python ints, and `sizes` a
-    read-only array built from it on each access.  `move_point` keeps them
+    `counts` is the list of the sizes, Python ints.  `move_point` keeps it
     equal to the labels and every cluster id in 0..k-1 nonempty: a move
     that would empty its source cluster is rejected.
     """
@@ -53,21 +52,11 @@ class Partition:
     def n(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return _frozen(self.counts)
-
     def cluster_indices(self, j) -> np.ndarray:
         return np.flatnonzero(self.labels == j)
 
     def __repr__(self):
         return f"Partition(n={self.n}, k={self.k}, sizes={self.counts})"
-
-
-def _frozen(values) -> np.ndarray:
-    a = np.array(values)
-    a.flags.writeable = False
-    return a
 
 
 # every start that needs fewer draws is the one plain rejection gives
@@ -125,26 +114,25 @@ def _dispersion(within, sizes) -> float:
 class ClusterSumLedger:
     """Maintained point-to-cluster distance sums.
 
-    sums[i, j]  = sum of dist[i, m] over points m in cluster j
-    within[j]   = sum of dist[i, m] over unordered pairs {i, m} inside j
+    sums[i, j]    = sum of dist[i, m] over points m in cluster j
+    pair_sums[j]  = sum of dist[i, m] over unordered pairs {i, m} inside j
 
     A build adds each cluster's distances one member after another in index
     order: sums[:, j] is (dist[:, m1] + dist[:, m2]) + dist[:, m3] + ... over
     the members m1 < m2 < ... of cluster j (tested bit for bit).  It reads
     the members' rows of the symmetric matrix, which are contiguous, in
     blocks through `energy._row_blocks`, the one row-block reader, which
-    `disco` shares.  It sums each block down the columns, adding the running
-    sum of the blocks before into the block's first row: the same values in
-    the same order as one sum over all the rows, in temporaries of 256 KiB
-    at most (`energy._BLOCK_BYTES`): a build at n = 2001, k = 6 took
-    7.4-8.3 ms, and 34-38 ms gathering each cluster's rows whole under a
-    4 MiB mmap threshold (numpy 2.4).
+    the statistics of `energy` share.  It sums each block down the columns,
+    adding the running sum of the blocks before into the block's first row:
+    the same values in the same order as one sum over all the rows, in
+    temporaries of 256 KiB at most (`energy._BLOCK_BYTES`): a build at
+    n = 2001, k = 6 took 7.4-8.3 ms, and 34-38 ms gathering each cluster's
+    rows whole under a 4 MiB mmap threshold (numpy 2.4).
     After construction the ledger is kept consistent by `move_point`; a
     from-scratch rebuild must agree to 1e-10 relative (tested).
 
-    `pair_sums` is the live list of within[j], Python floats, and `within`
-    a read-only array built from it on each access.  `sums` is cluster-major,
-    the transposed view of a C-ordered (k, n) array, so each column
+    `pair_sums` is a list of Python floats.  `sums` is cluster-major, the
+    transposed view of a C-ordered (k, n) array, so each column
     sums[:, j] is contiguous; it indexes as sums[i, j] all the same.
     `cols[j]` is the view sums[:, j], made once per ledger, so a move does
     not pay some 0.35 us per view for its two column updates (numpy 2.4).
@@ -169,14 +157,10 @@ class ClusterSumLedger:
         self.pair_sums = pair_sums
         self.cols = list(cols)
 
-    @property
-    def within(self) -> np.ndarray:
-        return _frozen(self.pair_sums)
-
 
 def _cluster_column(dist, idx):
     """A build's column sums[:, j] of the cluster with members `idx`, summed
-    as `ClusterSumLedger` describes, and its pair sum within[j]."""
+    as `ClusterSumLedger` describes, and its pair sum pair_sums[j]."""
     blocks = _row_blocks(dist, idx)
     col = next(blocks).sum(axis=0)
     for rows in blocks:

@@ -297,7 +297,7 @@ class _LedgerState:
     re-anchor's fresh ledger; with a held point it inserts the point first
     and sums afresh only the cluster that it joins.
 
-    `sizes` and `within` are the partition's own count list and the
+    `counts` and `pair_sums` are the partition's own count list and the
     ledger's own pair-sum list, which `move_point` updates.  The visits
     also read `labels`, a list copy of the partition's labels, `rows`, the
     ledger's row views sums[i], and `coefs`, each cluster's `_cluster_coef`
@@ -312,14 +312,14 @@ class _LedgerState:
         self.held = held
         self.k = partition.k - (held is not None)
         self.labels = partition.labels.tolist()
-        self.sizes = partition.counts
+        self.counts = partition.counts
         self.bind(ClusterSumLedger(partition, cache))
 
     def bind(self, ledger):
         self.ledger = ledger
-        self.within = ledger.pair_sums
+        self.pair_sums = ledger.pair_sums
         self.rows = list(ledger.sums)
-        self.coefs = [_cluster_coef(self.sizes[j], self.within[j], self.m) for j in range(self.k)]
+        self.coefs = [_cluster_coef(self.counts[j], self.pair_sums[j], self.m) for j in range(self.k)]
 
     def screen(self, t):
         """The first item at or after t that a visit moves, else the item count.
@@ -359,7 +359,7 @@ class _LedgerState:
     def within_value(self) -> float:
         # over clusters 0..k-1 only: a held-out term would regroup numpy's
         # sum once there are 8 or more
-        return _dispersion(self.within[: self.k], self.sizes[: self.k])
+        return _dispersion(self.pair_sums[: self.k], self.counts[: self.k])
 
     def reanchor(self) -> bool:
         """Rebuild the ledger when its objective drifted from a fresh ledger's.
@@ -373,7 +373,7 @@ class _LedgerState:
         """
         fresh = ClusterSumLedger(self.partition, self.ledger.dist)
         self.fresh_pair_sums = fresh.pair_sums
-        value = self.fresh_within = _dispersion(fresh.pair_sums[: self.k], self.sizes[: self.k])
+        value = self.fresh_within = _dispersion(fresh.pair_sums[: self.k], self.counts[: self.k])
         # a rebuild cannot mend NaN or inf; the final check reports them
         if not abs(self.within_value() - value) > 1e-9 * abs(value):
             return False
@@ -389,7 +389,7 @@ class _LedgerState:
         # summed afresh: the ledger's row of the held point adds in another order
         row = self.ledger.dist[self.held]
         cross = [float(row[labels == j].sum()) for j in range(self.k)]
-        coefs = [_cluster_coef(self.sizes[j], self.within[j], 1) for j in range(self.k)]
+        coefs = [_cluster_coef(self.counts[j], self.pair_sums[j], 1) for j in range(self.k)]
         to = labels[self.held] = _relocation_costs(cross, coefs, 0.0, -1)[2]
         final = Partition(labels, self.k)
         # the last re-anchor's fresh pair sums, but the joined cluster's afresh
@@ -414,12 +414,12 @@ def _sweep(state, max_passes, trace):
     max_passes, nor by it just after a re-anchor rebuilt the ledger).
     """
     items, m = state.items, state.m
-    partition, labels, sizes = state.partition, state.labels, state.sizes
+    partition, labels, counts = state.partition, state.labels, state.counts
     n_items = len(items)
     passes = moves = still = 0
     while passes < max_passes and still < n_items:
         # bound per pass: a re-anchor binds a new ledger and its mirrors
-        ledger, within, rows, coefs = state.ledger, state.within, state.rows, state.coefs
+        ledger, pair_sums, rows, coefs = state.ledger, state.pair_sums, state.rows, state.coefs
         t = 0
         while t < n_items and still < n_items:
             if still >= _SCREEN_AFTER:
@@ -439,8 +439,8 @@ def _sweep(state, max_passes, trace):
                     for i in pts:
                         move_point(partition, ledger, i, to)
                         labels[i] = to
-                    coefs[frm] = _cluster_coef(sizes[frm], within[frm], m)
-                    coefs[to] = _cluster_coef(sizes[to], within[to], m)
+                    coefs[frm] = _cluster_coef(counts[frm], pair_sums[frm], m)
+                    coefs[to] = _cluster_coef(counts[to], pair_sums[to], m)
                     moves += 1
                     still = 0
                     if trace is not None:

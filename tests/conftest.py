@@ -157,9 +157,8 @@ def first_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
             for i in range(n):
                 frm = int(part.labels[i])
                 moved = False
-                if part.sizes[frm] > 1:
-                    sizes = part.sizes.tolist()
-                    within = ledger.within.tolist()
+                if part.counts[frm] > 1:
+                    sizes, within = part.counts, ledger.pair_sums
                     cross = ledger.sums[i].tolist()
                     removal = _weighted_cost(cross[frm], within[frm], sizes[frm], 0.0, 1, True)
                     best, to = np.inf, -1
@@ -234,11 +233,11 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
         while passes < max_passes and still < len(pairs):
             for a, b in pairs:
                 frm = int(part.labels[a])
-                sizes = part.sizes.tolist()
+                sizes = part.counts
                 moved = False
                 if sizes[frm] > 2:
                     cross = (ledger.sums[a] + ledger.sums[b]).tolist()
-                    within = ledger.within.tolist()
+                    within = ledger.pair_sums
                     spread = float(sub[a, b]) / 2.0
                     removal = _weighted_cost(cross[frm], within[frm], sizes[frm], spread, 2, True)
                     best, to = np.inf, -1
@@ -265,8 +264,7 @@ def odd_second_variation_reference(x, k, alpha, restarts, seed, max_passes=50):
                     still = 0
         full = np.insert(part.labels, held, -1)
         row = cache.dist[held]
-        within = ledger.within.tolist()
-        sizes = part.sizes.tolist()
+        within, sizes = ledger.pair_sums, part.counts
         costs = [_weighted_cost(float(row[full == j].sum()), within[j], sizes[j], 0.0, 1, False)
                  for j in range(k)]
         full[held] = int(np.argmin(costs))

@@ -82,7 +82,7 @@ def test_criterion_2_update_formula_oracle():
         ledger = ClusterSumLedger(part, cache)
         w_before = brute_within(x, labels, alpha)
 
-        movable = np.flatnonzero(part.sizes[part.labels] >= 2)
+        movable = np.flatnonzero(np.array(part.counts)[part.labels] >= 2)
         i = int(rng.choice(movable))
         to = int((part.labels[i] + 1) % k)
         delta = mth_variation_delta(part, ledger, [i], to)
@@ -92,7 +92,7 @@ def test_criterion_2_update_formula_oracle():
         worst_first = max(worst_first, abs(delta - oracle) / max(1.0, abs(oracle)))
 
         m = t % 3 + 1
-        frm = int(np.argmax(part.sizes))
+        frm = int(np.argmax(part.counts))
         members = part.cluster_indices(frm)
         if members.size >= m + 1:
             pts = rng.choice(members, size=m, replace=False)
@@ -135,8 +135,8 @@ def test_criterion_3_alpha2_equivalence():
             i = int(rng.integers(part.n))
             j = int(part.labels[i])
             ledger = ClusterSumLedger(part, cache)
-            nj = int(part.sizes[j])
-            xi = 2.0 * float(ledger.sums[i, j]) / nj - 2.0 * float(ledger.within[j]) / (nj * nj)
+            nj = part.counts[j]
+            xi = 2.0 * float(ledger.sums[i, j]) / nj - 2.0 * ledger.pair_sums[j] / (nj * nj)
             members = part.cluster_indices(j)
         else:
             j = int(rng.integers(k))

@@ -168,6 +168,17 @@ class TestFitCommand:
         assert code == 0
         assert json.loads((out / "fit.json").read_text())["alpha"] == 2.0
 
+    @pytest.mark.parametrize("alpha", ["0.5", "1", "nan"])
+    def test_kmeans_refuses_another_alpha_and_writes_nothing(self, blob_csv, tmp_path, capsys, alpha):
+        out = tmp_path / "out"
+        argv = ["fit", "--input", blob_csv, "--k", "2", "--mode", "kmeans", "--out-dir", str(out)]
+        assert main([*argv, "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: --mode kmeans fits at alpha 2; got --alpha {float(alpha)!r}\n"
+        assert not out.exists()
+        assert main([*argv, "--alpha", "2"]) == 0
+        assert json.loads((out / "fit.json").read_text())["alpha"] == 2.0
+
     def test_second_variation_mode_recorded(self, blob_csv, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -566,7 +577,7 @@ class TestSettingsByFieldName:
           "--max-passes", "7", "--seed", "9"],
          {"alpha": 0.5, "mode": "second_variation", "restarts": 4, "max_passes": 7,
           "rng_seed": 9}),
-        (["--mode", "kmeans", "--alpha", "0.5"], {"alpha": 2.0, "mode": "kmeans_alpha2"}),
+        (["--mode", "kmeans"], {"alpha": 2.0, "mode": "kmeans_alpha2"}),
     ])
     def test_fit_flags_fill_fit_config(self, blob_csv, captured, flags, expected):
         from kgroups import FitConfig
@@ -648,6 +659,33 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith(f"{kind} error: ")
         assert "Traceback" not in err
+
+
+class TestErrorBranches:
+    # (file text, command with {f} for the file, stderr before any OS detail)
+    @pytest.mark.parametrize("text, argv, error", [
+        ("", "fit --k 1 --input {f}", "input error: {f} contains no data"),
+        ("x0,x1\n", "fit --k 1 --input {f}", "input error: {f} has a header but no data rows"),
+        ("label\n", "validate --truth {f} --pred {f}", "input error: {f} has a header but no labels"),
+        ("a,b,c\n1,2\n", "fit --k 1 --input {f}", "input error: {f}: header has 3 fields, rows have 2"),
+        ("label\n0\n1\n", "fit --k 1 --input {f}",
+         "input error: {f}: no feature columns besides the label column"),
+        ("1,2\n3\n", "fit --k 1 --input {f}", "input error: {f}: row 2 has 1 fields, expected 2"),
+        ("0,1\n1,0\n", "validate --truth {f} --pred {f}",
+         "input error: {f}: expected exactly one column of labels"),
+        ("", "bench --design normal --sweep-param separation --sweep-values 3 --algorithms ,",
+         "input error: empty list argument: ','"),
+        ("[1]", "bench --spec {f}", "input error: {f}: expected an object at top level"),
+        # an existing file as the output directory
+        ("0,0\n1,1\n", "fit --k 1 --input {f} --out-dir {f}", "i/o error: "),
+    ])
+    def test_exit_2_names_the_input(self, tmp_path, capsys, text, argv, error):
+        f = tmp_path / "in.csv"
+        f.write_text(text)
+        assert main(argv.format(f=f).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error.format(f=f))
+        assert str(f) in err or "{f}" not in argv
 
 
 class TestPublicNames:

@@ -45,6 +45,18 @@ class TestValidation:
         with pytest.raises(InputError, match=f"^{field} must be"):
             build()
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Component(0.0, "normal", (0.0, 1.0)), "component weight must be positive, got 0.0"),
+        (lambda: Component(-1.0, "normal", (0.0, 1.0)), "component weight must be positive, got -1.0"),
+        (lambda: Component(1.0, "normal", (0.0, 1.0, 2.0)), "normal needs two parameters, got (0.0, 1.0, 2.0)"),
+        (lambda: Component(1.0, "cauchy", (0.0,)), "cauchy needs two parameters, got (0.0,)"),
+        (lambda: Component(1.0, "normal", (0.0, -0.5)), "normal scale must be >= 0, got -0.5"),
+    ])
+    def test_raises_input_error_naming_its_input(self, build, error):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == error
+
     def test_lognormal_scale_must_be_positive(self):
         with pytest.raises(InputError):
             Component(1.0, "lognormal", (0.0, 0.0))

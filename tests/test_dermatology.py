@@ -71,6 +71,19 @@ class TestLoader:
         with pytest.raises(IngestionError, match=f"row 6, column 4: '{token}' is not finite"):
             load_dermatology(f)
 
+    @pytest.mark.parametrize("classes, error", [
+        ([1, 2, 0], "row 3 has class 0, expected >= 1"),
+        ([1, -2], "row 2 has class -2, expected >= 1"),
+        ([1], "only 1 usable rows"),
+        ([], "only 0 usable rows"),
+    ])
+    def test_raises_ingestion_error_naming_its_input(self, tmp_path, classes, error):
+        f = tmp_path / "derm.data"
+        f.write_text("".join(",".join([str(i)] * N_ATTRIBUTES + [str(c)]) + "\n" for i, c in enumerate(classes)))
+        with pytest.raises(IngestionError) as info:
+            load_dermatology(f)
+        assert str(info.value) == f"{f}: {error}"
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         f = make_fixture(tmp_path / "derm.data")
         with pytest.raises(IngestionError, match="sha256"):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,46 @@ class TestRowBlocks:
             for b in blocks:
                 assert b.nbytes <= max(budget, dist[0].nbytes)
                 assert b.shape[0] == 1 or b.nbytes <= budget
+
+
+class TestInputErrors:
+    SQUARE = "cache must be a DistanceCache or a square 2-D matrix of real numbers, got "
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda cache: disco([0, 1], "ab"), SQUARE + "<U2 ()"),
+        (lambda cache: disco([0, 1], None), SQUARE + "object ()"),
+        (lambda cache: dispersion([0], [1], np.zeros(3)), SQUARE + "float64 (3,)"),
+        (lambda cache: disco([0, 1], np.zeros((2, 3))), SQUARE + "float64 (2, 3)"),
+        (lambda cache: energy_statistic([0], [1], np.ones((2, 2), dtype=bool)), SQUARE + "bool (2, 2)"),
+        (lambda cache: disco([0, 0, 1], cache), "partition covers 3 points, cache has 2"),
+        (lambda cache: disco([2, 0, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), "cluster 1 is empty"),
+    ])
+    def test_raises_input_error_naming_its_input(self, call, error):
+        cache = DistanceCache([[0.0], [2.0]], 1.0)
+        with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+            call(cache)
+
+
+class TestOneReader:
+    def test_energy_statistic_checks_each_set_once_in_one_pass(self, monkeypatch):
+        calls = []
+        for name in ("_index_set", "_within_term"):
+            counted = lambda *a, _f=getattr(kenergy, name), _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+            monkeypatch.setattr(kenergy, name, counted)
+        energy_statistic([0, 2], [1, 3, 4], DistanceCache(np.arange(5.0), 1.0))
+        assert sorted(calls) == ["_index_set", "_index_set", "_within_term"]
+
+    def test_block_sums_copy_no_whole_block(self):
+        cache = DistanceCache(np.random.default_rng(0).standard_normal((600, 2)), 1.0)
+        idx = np.arange(600)
+        tracemalloc.start()
+        try:
+            dispersion(idx, idx, cache)
+            energy_statistic(idx[:300], idx[300:], cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cache.dist.nbytes / 3
 
 
 class TestAlpha2Centroid:

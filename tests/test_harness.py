@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import kgroups.charts as charts
 import kgroups.harness as harness
 import kgroups.solver as solver
 from kgroups import (
@@ -24,6 +25,7 @@ from kgroups import (
     fit,
     run_experiment,
 )
+from kgroups.charts import line_chart_svg
 from kgroups.harness import default_alpha, design_mixture
 from kgroups.partition import Partition
 from test_solver import _assert_only_workers_left, _forks, _on_workers
@@ -439,6 +441,30 @@ class TestEmission:
         result = run_experiment(tiny_spec(reps=1))
         with pytest.raises(OSError):
             emit_outputs(result, blocker / "out", formats=("csv",))
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: design_mixture("gamma"),
+         "unknown design 'gamma', expected one of ('normal', 'lognormal', 'cauchy', 'cubic')"),
+        (lambda: tiny_spec(design="gamma"), "unknown design 'gamma'"),
+        (lambda: tiny_spec(sweep_param="speed"), "unknown sweep parameter 'speed'"),
+        (lambda: emit_outputs(harness.ExperimentResult(tiny_spec(), [], []), "unused"),
+         "refusing to emit an empty result table"),
+        (lambda: line_chart_svg([]), "chart needs at least one series"),
+        (lambda: line_chart_svg([("a", [], []), ("b", [], [])]), "chart series are empty"),
+        (lambda: line_chart_svg([("a", [1, 2], [1, 2]), ("b", [1, 2], [1])]), "series 'b' has mismatched x/y lengths"),
+    ])
+    def test_raises_input_error_naming_its_input(self, call, error):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == error
+
+    def test_a_chart_of_one_x_value_centres_it(self):
+        svg = ET.fromstring(line_chart_svg([("a", [3.0], [1.0]), ("b", [3.0], [2.0])]))
+        centre = charts._MARGIN_L + (charts._WIDTH - charts._MARGIN_L - charts._MARGIN_R) / 2
+        cxs = {c.get("cx") for c in svg.iter("{http://www.w3.org/2000/svg}circle")}
+        assert cxs == {f"{centre:.2f}"}
 
 
 class TestRecordParsing:

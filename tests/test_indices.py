@@ -167,6 +167,10 @@ class TestKappa:
         # matched table has p_o = p_e = 0.5, so chance-corrected agreement is 0
         assert index_report(table(*CROSSED)).kappa == 0.0
 
+    def test_one_cell_table_has_chance_agreement_1_and_kappa_1(self):
+        assert kindices._matched_pairs(ContingencyTable([[5]])) == (1.0, 1.0)
+        assert index_report(ContingencyTable([[5]])).kappa == 1.0
+
     def test_chance_only_agreement_small_positive(self):
         # matching to the best diagonal overfits chance slightly, so the
         # null mean sits a little above zero rather than at it

@@ -25,10 +25,10 @@ from conftest import random_instance
 
 
 class TestPartition:
-    def test_sizes_track_labels(self):
+    def test_counts_track_labels(self):
         p = Partition([0, 1, 1, 2, 0])
         assert p.k == 3
-        assert p.sizes.tolist() == [2, 2, 1]
+        assert p.counts == [2, 2, 1]
         assert p.n == 5
 
     def test_empty_cluster_rejected(self):
@@ -147,7 +147,7 @@ class TestLedger:
             direct = sum(
                 float(cache.dist[a, b]) for a in idx for b in idx if a < b
             )
-            assert ledger.within[j] == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            assert ledger.pair_sums[j] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
     def test_move_then_move_back_restores(self, rng):
         x, labels, k = random_instance(rng, n_lo=10)
@@ -155,14 +155,14 @@ class TestLedger:
         p = Partition(labels, k)
         ledger = ClusterSumLedger(p, cache)
         sums0 = ledger.sums.copy()
-        within0 = ledger.within.copy()
-        i = int(np.flatnonzero(p.sizes[p.labels] >= 2)[0])
+        within0 = list(ledger.pair_sums)
+        i = int(np.flatnonzero(np.array(p.counts)[p.labels] >= 2)[0])
         frm = int(p.labels[i])
         to = (frm + 1) % k
         move_point(p, ledger, i, to)
         move_point(p, ledger, i, frm)
         assert np.allclose(ledger.sums, sums0, rtol=0, atol=1e-12)
-        assert np.allclose(ledger.within, within0, rtol=0, atol=1e-12)
+        assert np.allclose(ledger.pair_sums, within0, rtol=0, atol=1e-12)
         assert p.labels[i] == frm
 
     def test_singleton_source_rejected(self):
@@ -204,16 +204,15 @@ class TestLedger:
         assert [type(c) for c in p.counts] == [int, int]
         assert [type(w) for w in ledger.pair_sums] == [float, float]
 
-    def test_sizes_and_within_are_read_only_copies_of_the_lists(self):
+    def test_a_move_updates_the_count_and_pair_sum_lists_in_place(self):
+        # the sweep holds these two lists across moves
         cache = DistanceCache(np.arange(6.0), 1.0)
         p = Partition([0, 0, 0, 1, 1, 1])
         ledger = ClusterSumLedger(p, cache)
-        for array, values in ((p.sizes, p.counts), (ledger.within, ledger.pair_sums)):
-            assert array.tolist() == values
-            with pytest.raises(ValueError):
-                array[0] = 0
+        counts, pair_sums = p.counts, ledger.pair_sums
         move_point(p, ledger, 2, 1)
-        assert p.sizes.tolist() == [2, 4] and ledger.within.tolist() == [1.0, 10.0]
+        assert p.counts is counts and ledger.pair_sums is pair_sums
+        assert counts == [2, 4] and pair_sums == [1.0, 10.0]
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -276,16 +275,16 @@ class TestLedger:
         p = Partition(labels, k)
         ledger = ClusterSumLedger(p, cache)
         for _ in range(p.n):
-            movable = np.flatnonzero(p.sizes[p.labels] >= 2)
+            movable = np.flatnonzero(np.array(p.counts)[p.labels] >= 2)
             if movable.size == 0:
                 break
             i = int(gen.choice(movable))
             to = int((p.labels[i] + 1 + gen.integers(k - 1)) % k)
             move_point(p, ledger, i, to)
-            assert p.sizes.tolist() == np.bincount(p.labels, minlength=k).tolist()
+            assert p.counts == np.bincount(p.labels, minlength=k).tolist()
         fresh = _rebuilt(ledger, p, cache)
-        scale = max(1.0, float(np.abs(fresh.within).max()))
-        assert np.allclose(ledger.within, fresh.within, rtol=1e-10, atol=1e-10 * scale)
+        scale = max(1.0, float(np.abs(fresh.pair_sums).max()))
+        assert np.allclose(ledger.pair_sums, fresh.pair_sums, rtol=1e-10, atol=1e-10 * scale)
         assert np.allclose(ledger.sums, fresh.sums, rtol=1e-10, atol=1e-10)
 
 
@@ -308,12 +307,24 @@ class TestContingency:
         p1 = Partition([0, 0, 0, 1, 1])
         p2 = Partition([0, 1, 1, 1, 0])
         t = ContingencyTable.from_labels(p1.labels, p2.labels)
-        assert t.row_sums.tolist() == p1.sizes.tolist()
-        assert t.col_sums.tolist() == p2.sizes.tolist()
+        assert t.row_sums.tolist() == p1.counts
+        assert t.col_sums.tolist() == p2.counts
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             ContingencyTable.from_labels(np.array([0, 1]), np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: ClusterSumLedger(Partition([0, 1, 1]), np.zeros((2, 2))),
+         "distance matrix is (2, 2), partition has 3 points"),
+        (lambda: ContingencyTable([1, 2]), "contingency table must be a nonempty 2-D array"),
+        (lambda: ContingencyTable(np.zeros((0, 2), dtype=int)), "contingency table must be a nonempty 2-D array"),
+        (lambda: ContingencyTable([[3, -1]]), "contingency counts must be nonnegative"),
+    ])
+    def test_raises_input_error_naming_its_input(self, call, error):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == error
 
     def test_sparse_labels_accepted(self):
         # unlike a Partition, a table may have more label values than points

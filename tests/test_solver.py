@@ -58,7 +58,7 @@ def _ledger_for(x, labels, k, alpha):
 
 
 def _movable_point(rng, p):
-    movable = np.flatnonzero(p.sizes[p.labels] >= 2)
+    movable = np.flatnonzero(np.array(p.counts)[p.labels] >= 2)
     return int(rng.choice(movable))
 
 
@@ -93,8 +93,8 @@ class TestFirstVariationDelta:
             i = _movable_point(rng, p)
             frm = int(p.labels[i])
             to = int((frm + 1) % k)
-            n1 = int(p.sizes[frm])
-            n2 = int(p.sizes[to])
+            n1 = p.counts[frm]
+            n2 = p.counts[to]
             c1 = x[p.cluster_indices(frm)].mean(axis=0)
             c2 = x[p.cluster_indices(to)].mean(axis=0)
             oracle = n1 * float(((x[i] - c1) ** 2).sum()) / (n1 - 1) - n2 * float(
@@ -119,7 +119,7 @@ class TestMthVariationDelta:
             x, labels, k = random_instance(rng, n_lo=12)
             alpha = float(rng.choice(ALPHAS))
             cache, p, ledger = _ledger_for(x, labels, k, alpha)
-            frm = int(np.argmax(p.sizes))
+            frm = int(np.argmax(p.counts))
             members = p.cluster_indices(frm)
             if members.size < m + 1:
                 continue
@@ -135,7 +135,7 @@ class TestMthVariationDelta:
     def test_move_and_return_deltas_cancel(self, rng):
         x, labels, k = random_instance(rng, n_lo=14)
         cache, p, ledger = _ledger_for(x, labels, k, 1.0)
-        frm = int(np.argmax(p.sizes))
+        frm = int(np.argmax(p.counts))
         pts = p.cluster_indices(frm)[:2]
         to = int((frm + 1) % k)
         d_out = mth_variation_delta(p, ledger, pts, to)
@@ -327,7 +327,7 @@ class TestFitFirstVariation:
         cfg = FitConfig(k=4, alpha=1.0, restarts=2, rng_seed=0)
         result = fit(x, cfg)
         assert result.moves == 0
-        assert result.partition.sizes.tolist() == [1, 1, 1, 1]
+        assert result.partition.counts == [1, 1, 1, 1]
         assert result.within == 0.0
 
     def test_k_exceeding_n_rejected(self):
@@ -349,25 +349,25 @@ class TestFitSecondVariation:
         for _ in range(20):
             x, labels, k = random_instance(rng, n_lo=14, n_hi=30)
             cache, p, ledger = _ledger_for(x, labels, k, 1.0)
-            frm = int(np.argmax(p.sizes))
+            frm = int(np.argmax(p.counts))
             members = p.cluster_indices(frm)
             if members.size < 4:
                 continue
             pair = members[:2]
-            n1 = int(p.sizes[frm])
+            n1 = p.counts[frm]
             dab = float(cache.dist[pair[0], pair[1]])
             xi1 = (
                 float(ledger.sums[pair[0], frm] + ledger.sums[pair[1], frm]) / n1
                 - dab / 2.0
-                - 2.0 * float(ledger.within[frm]) / (n1 * n1)
+                - 2.0 * ledger.pair_sums[frm] / (n1 * n1)
             )
             e1 = n1 / (n1 - 2.0) * xi1
             to = int((frm + 1) % k)
-            n2 = int(p.sizes[to])
+            n2 = p.counts[to]
             xi2 = (
                 float(ledger.sums[pair[0], to] + ledger.sums[pair[1], to]) / n2
                 - dab / 2.0
-                - 2.0 * float(ledger.within[to]) / (n2 * n2)
+                - 2.0 * ledger.pair_sums[to] / (n2 * n2)
             )
             e2 = n2 / (n2 + 2.0) * xi2
             dm = mth_variation_delta(p, ledger, pair, to)
@@ -450,8 +450,8 @@ class TestFitKmeansAlpha2:
         cache, p, ledger = _ledger_for(x, labels, k, 2.0)
         for i in range(p.n):
             j = int(p.labels[i])
-            nj = int(p.sizes[j])
-            xi = 2.0 * float(ledger.sums[i, j]) / nj - 2.0 * float(ledger.within[j]) / (nj * nj)
+            nj = p.counts[j]
+            xi = 2.0 * float(ledger.sums[i, j]) / nj - 2.0 * ledger.pair_sums[j] / (nj * nj)
             c = x[p.cluster_indices(j)].mean(axis=0)
             assert xi / 2.0 == pytest.approx(float(((x[i] - c) ** 2).sum()), rel=1e-9, abs=1e-12)
 
@@ -598,7 +598,7 @@ class TestFitDriver:
         # uniform random starts by plain rejection would take over 1e6 draws
         x = np.random.default_rng(0).standard_normal((30, 1))
         result = fit(x, FitConfig(k=k, restarts=1))
-        assert result.partition.sizes.min() >= 1
+        assert min(result.partition.counts) >= 1
 
     @pytest.mark.parametrize("data", [np.ones(4) * 1j, ["a", "b"], [[1, 2], [3]]])
     def test_complex_non_numeric_or_ragged_data_rejected(self, data):
@@ -610,7 +610,20 @@ class TestFitDriver:
         x = np.random.default_rng(1).standard_normal((61, 2))
         result = fit(x, FitConfig(k=29, restarts=2, mode="second_variation"))
         assert result.partition.k == 29
-        assert result.partition.sizes.min() >= 1
+        assert min(result.partition.counts) >= 1
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize("call, error", [
+        (lambda x, p, ledger: fit(x, FitConfig(k=2), init_labels=[0, 1, 0]),
+         "init_labels length does not match the data"),
+        (lambda x, p, ledger: mth_variation_delta(p, ledger, [0], 0), "target cluster equals the source cluster"),
+    ])
+    def test_raises_input_error_naming_its_input(self, call, error):
+        x = np.array([0.0, 1.0, 5.0, 6.0])
+        p = Partition([0, 0, 1, 1])
+        with pytest.raises(InputError, match=f"^{error}$"):
+            call(x, p, ClusterSumLedger(p, DistanceCache(x, 1.0)))
 
 
 def _far_pair(n, sep, spread, seed=0):
@@ -778,7 +791,8 @@ class TestPublicSurface:
                 (solver, "FitMode"), (kgroups, "ResultTable"), (harness, "ResultTable"),
                 (harness.ExperimentSpec, "meta"), (kgroups, "diag_index"), (indices, "diag_index"),
                 (kgroups, "kappa_index"), (indices, "kappa_index"), (kgroups, "random_partition"),
-                (partition, "random_partition"), (ClusterSumLedger, "within_dispersion"))
+                (partition, "random_partition"), (ClusterSumLedger, "within_dispersion"),
+                (Partition, "sizes"), (ClusterSumLedger, "within"), (partition, "_frozen"))
         for owner, name in gone:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
@@ -845,11 +859,10 @@ class TestSweepState:
                 rebuilt += state.ledger is not ledger
                 part, ledger = state.partition, state.ledger
                 assert state.labels == part.labels.tolist()
-                assert state.sizes is part.counts and state.within is ledger.pair_sums
+                assert state.counts is part.counts and state.pair_sums is ledger.pair_sums
                 assert {type(c) for c in part.counts} == {int}
                 assert {type(w) for w in ledger.pair_sums} == {float}
-                assert state.sizes == part.sizes.tolist()
-                assert state.within == ledger.within.tolist()
+                assert state.counts == np.bincount(part.labels, minlength=part.k).tolist()
                 assert len(state.rows) == part.n and len(ledger.cols) == part.k
                 for i, row in enumerate(state.rows):
                     assert np.shares_memory(row, ledger.sums)
@@ -857,13 +870,14 @@ class TestSweepState:
                 for j, col in enumerate(ledger.cols):
                     assert np.shares_memory(col, ledger.sums)
                     assert np.array_equal(col, ledger.sums[:, j])
-                coefs = [solver._cluster_coef(int(part.sizes[j]), float(ledger.within[j]), state.m)
+                coefs = [solver._cluster_coef(part.counts[j], ledger.pair_sums[j], state.m)
                          for j in range(state.k)]
                 assert state.coefs == coefs
             final, w = state.finish()
             assert type(w) is float and {type(c) for c in final.counts} == {int}
-            assert state.sizes is state.partition.counts
-            assert state.within is state.ledger.pair_sums
+            assert state.counts is state.partition.counts
+            assert state.pair_sums is state.ledger.pair_sums
+            assert not {"sizes", "within"} & set(vars(state))
         assert rebuilt > 0
 
     @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
