@@ -64,50 +64,37 @@ def line_chart_svg(series, *, title="", x_label="", y_label="") -> str:
         return _MARGIN_T + plot_h - (float(y) - y_lo) / (y_hi - y_lo) * plot_h
 
     out = []
+
+    def text(x, y, size, body, anchor=None, extra=""):
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{extra}>{body}</text>')
+
+    def line(x1, y1, x2, y2, stroke="black", extra=""):
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>')
+
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+        text(f"{_WIDTH / 2:.1f}", 22, 15, title, "middle")
 
     # axes
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>'
-    )
-    out.append(f'<line x1="{x0}" y1="{_MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>')
+    line(x0, y0, x0 + plot_w, y0)
+    line(x0, _MARGIN_T, x0, y0)
     for tx in _ticks(x_lo + x_pad, x_hi - x_pad):
-        out.append(
-            f'<line x1="{px(tx):.1f}" y1="{y0}" x2="{px(tx):.1f}" y2="{y0 + 5}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{px(tx):.1f}" y="{y0 + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        line(f"{px(tx):.1f}", y0, f"{px(tx):.1f}", y0 + 5)
+        text(f"{px(tx):.1f}", y0 + 20, 11, _fmt(tx), "middle")
     for ty in _ticks(y_lo + y_pad, y_hi - y_pad):
-        out.append(
-            f'<line x1="{x0 - 5}" y1="{py(ty):.1f}" x2="{x0}" y2="{py(ty):.1f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8}" y="{py(ty) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        line(x0 - 5, f"{py(ty):.1f}", x0, f"{py(ty):.1f}")
+        text(x0 - 8, f"{py(ty) + 4:.1f}", 11, _fmt(ty), "end")
     if x_label:
-        out.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
+        text(f"{x0 + plot_w / 2:.1f}", _HEIGHT - 10, 12, x_label, "middle")
     if y_label:
-        out.append(
-            f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
-        )
+        mid = f"{_MARGIN_T + plot_h / 2:.1f}"
+        text(16, mid, 12, y_label, "middle", f' transform="rotate(-90 16 {mid})"')
 
     # series + legend
     for s, (name, xs, ys) in enumerate(series):
@@ -118,18 +105,11 @@ def line_chart_svg(series, *, title="", x_label="", y_label="") -> str:
             f'stroke-width="1.5" points="{pts}"/>'
         )
         for x, y in zip(xs, ys):
-            out.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>'
-            )
+            out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>')
         ly = _MARGIN_T + 14 + 18 * s
         lx = _MARGIN_L + plot_w + 10
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" font-size="11">{name}</text>'
-        )
+        line(lx, ly - 4, lx + 18, ly - 4, color, ' stroke-width="1.5"')
+        text(lx + 24, ly, 11, name)
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -71,8 +71,10 @@ docstring gives their number W.  A restart job reaches a worker as one
 pickled message on its `multiprocessing.Pipe`, the cache as its data and
 alpha, and the worker rebuilds the matrix: the same `cdist` on the same
 input in a fork of the same process, so it is the caller's bit for bit.
-Restart r runs on worker r mod W and the records merge in restart order,
-so a fit is bit-identical for every W.
+Each process makes the sweep items from its own matrix (`_fit_items`), so
+the job carries no points or pairs.  Restart r runs on worker r mod W, each
+restart's record is its own one-restart `FitResult`, and `fit` takes the
+best of them in restart order, so a fit is bit-identical for every W.
 """
 
 from __future__ import annotations
@@ -88,14 +90,14 @@ import pickle
 import signal
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 # `disco` is not called here; it stays a solver name because the traced
 # benchmark run (perfbench/spans.py) wraps kgroups.solver.disco
-from .energy import DistanceCache, _index_set, _within_term, as_data_matrix, disco, validate_alpha  # noqa: F401
+from .energy import DistanceCache, _dist_for, _index_set, _within_term, as_data_matrix, disco, validate_alpha  # noqa: F401
 from .errors import InputError, NumericInvariantError, RejectedMoveError, check_fields, check_index, check_sequence
 from .partition import (
     ClusterSumLedger,
@@ -162,10 +164,10 @@ class FitConfig:
 class FitResult:
     """Outcome of a fit: best partition over restarts plus run metadata.
 
-    `within` is the final objective of the winning restart and must agree
-    with a from-scratch recomputation to 1e-9 relative.  `converged` says
-    that the winner's sweep stopped because a full round of visits moved
-    nothing, not at `max_passes`.  `trace`, when requested, holds one (item,
+    `within` is the final objective of the winning restart; in what `fit`
+    returns it agrees with a from-scratch recomputation to 1e-9 relative.
+    `converged` says that the winner's sweep stopped because a full round
+    of visits moved nothing, not at `max_passes`.  `trace`, when requested, holds one (item,
     source, target, within_after) entry per accepted relocation of the
     winning restart.
     """
@@ -468,11 +470,9 @@ def min_distance_pairs(dist, held=None) -> list:
     the held point's row and column deleted, in the full matrix's indices.
     Deterministic, O(n^2), and invariant to any strictly increasing
     transform of the distances (so the exponent alpha does not change the
-    matching).
+    matching).  `dist` is a DistanceCache or a square real matrix.
     """
-    dist = np.asarray(dist)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise InputError(f"pairing needs a square distance matrix, got shape {dist.shape}")
+    dist = _dist_for(dist)
     n = dist.shape[0]
     used = np.zeros(n, dtype=bool)
     if held is not None:
@@ -521,26 +521,16 @@ def _start(cache, k, rng, items, start=None) -> _LedgerState:
     return _LedgerState(cache, start, items, held)
 
 
-class _Restart(NamedTuple):
-    """What one restart found; `converged` as `_sweep` returns it."""
-
-    within: float
-    partition: Partition
-    passes: int
-    moves: int
-    converged: bool
-    trace: list | None
-
-
-def _restart(r, cfg, cache, start, items, collect_trace) -> _Restart:
-    """Restart r of a fit: a sweep from its own random start, or from `start`
-    when r is 0 and one is given.  `items` are the sweep's items (None: each
-    odd-n second-variation restart pairs afresh)."""
+def _restart(r, cfg, cache, start, items, collect_trace) -> FitResult:
+    """Restart r of a fit, as the fit of that one restart: a sweep from its
+    own random start, or from `start` when r is 0 and one is given.  `items`
+    are `_fit_items`' (None: each odd-n second-variation restart pairs
+    afresh); `converged` is as `_sweep` returns it."""
     state = _start(cache, cfg.k, _restart_rng(cfg.rng_seed, r), items, start if r == 0 else None)
     trace = [] if collect_trace else None
     passes, moves, converged = _sweep(state, cfg.max_passes, trace)
     part, w = state.finish()
-    return _Restart(w, part, passes, moves, converged, trace)
+    return FitResult(part, w, passes, moves, converged, cfg.rng_seed, [w], trace)
 
 
 # Each worker gets at least this many points times restarts of work.  A job
@@ -745,18 +735,27 @@ def _lost(pid, ids) -> ChildProcessError:
     return ChildProcessError(f"worker {pid} ended without the results of jobs {list(ids)}")
 
 
-def _restarts(cfg, cache, start, points, collect_trace):
-    """The job of a fit: restart r.  `points` are the items' points, None
-    for odd-n second variation; each process makes its items."""
-    items = None if points is None else _items(cache.dist, points)
+def _fit_items(cache, pairs) -> _Items | None:
+    """A fit's sweep items: the single points, or with `pairs` the closest
+    pairs of an even n, or None for an odd n (each restart pairs afresh)."""
+    if not pairs:
+        return _items(cache.dist, np.arange(cache.n)[:, None])
+    return None if cache.n % 2 else _items(cache.dist, np.array(min_distance_pairs(cache), dtype=np.intp))
+
+
+def _restarts(cfg, cache, start, collect_trace):
+    """The job of a fit: restart r.  Each process makes the items itself,
+    once per job, from the cache it holds."""
+    items = _fit_items(cache, cfg.mode == "second_variation")
     return lambda r: _restart(r, cfg, cache, start, items, collect_trace)
 
 
 def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitResult:
     """Fit k-groups in the mode named by cfg.mode.
 
-    Runs cfg.restarts independent sweeps from random nonempty partitions and
-    returns the lowest-objective result (ties keep the earliest restart).
+    Runs cfg.restarts one-restart fits from random nonempty partitions and
+    returns the lowest-objective one (ties keep the earliest restart) with
+    every restart's objective in `per_restart_within`.
     When `init_labels` is given, the first restart starts from that
     partition instead of a random one (not in second variation, whose
     restarts start from random pairs).  The winner's objective must match a
@@ -798,11 +797,7 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
     # the workers are forked before the cache is built, so none holds it for life
     with _crew(_worker_count(cfg.restarts, n)) as workers:
         cache = DistanceCache(x, cfg.alpha)
-        if not pairs:
-            points = np.arange(n)[:, None]
-        else:  # None: each odd-n restart holds a point out and pairs the rest
-            points = None if n % 2 else np.array(min_distance_pairs(cache.dist), dtype=np.intp)
-        results = _run_jobs(_restarts, (cfg, cache, start, points, collect_trace), cfg.restarts, workers)
+        results = _run_jobs(_restarts, (cfg, cache, start, collect_trace), cfg.restarts, workers)
     best = min(results, key=lambda res: res.within)
 
     part = best.partition
@@ -811,5 +806,4 @@ def fit(data, cfg: FitConfig, *, init_labels=None, collect_trace=False) -> FitRe
         raise NumericInvariantError(
             f"{cfg.mode} objective {best.within!r} disagrees with recomputation {fresh!r}"
         )
-    return FitResult(best.partition, best.within, best.passes, best.moves, best.converged,
-                     cfg.rng_seed, [res.within for res in results], best.trace)
+    return replace(best, per_restart_within=[res.within for res in results])

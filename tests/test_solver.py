@@ -1,3 +1,4 @@
+import functools
 import json
 import multiprocessing
 import os
@@ -49,6 +50,7 @@ from conftest import (
 )
 
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
+MODE_RUNS = [("first_variation", 1.0), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
 
 
 def _ledger_for(x, labels, k, alpha):
@@ -206,10 +208,19 @@ class TestPairing:
         (np.zeros((5, 5)), 1.5),
         (np.zeros((4, 6)), None),
         (np.arange(4.0), None),
+        (np.array([["a", "b"], ["b", "a"]]), None),
+        ([[0, None], [None, 0]], None),
+        (np.zeros((2, 2), dtype=complex), None),
+        (np.zeros((2, 2), dtype=bool), None),
     ])
     def test_ill_formed_inputs_raise_input_error(self, dist, held):
         with pytest.raises(InputError):
             min_distance_pairs(dist, held)
+
+    def test_a_cache_pairs_as_its_matrix(self, rng):
+        for n, held in ((20, None), (21, 3)):
+            cache = DistanceCache(rng.standard_normal((n, 2)), 1.5)
+            assert min_distance_pairs(cache, held) == min_distance_pairs(cache.dist, held)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -605,6 +616,18 @@ class TestFitDriver:
         with pytest.raises(InputError):
             fit(data, FitConfig(k=1))
 
+    @pytest.mark.parametrize("mode, alpha", MODE_RUNS)
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_a_one_restart_fit_is_its_restart(self, mode, alpha, n):
+        # a fit is the best of its one-restart fits: with R = 1 it is restart 0's own record
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        cfg = FitConfig(k=3, alpha=alpha, restarts=1, rng_seed=4, mode=mode)
+        got = fit(x, cfg, collect_trace=True)
+        assert isinstance(got, solver.FitResult) and got.per_restart_within == [got.within]
+        cache = DistanceCache(x, alpha)
+        items = solver._fit_items(cache, mode == "second_variation")
+        assert _everything(got) == _everything(solver._restart(0, cfg, cache, None, items, True))
+
     def test_second_variation_with_k_close_to_the_pair_count_finishes(self):
         # 30 pairs and a held-out point in 29 nonempty clusters
         x = np.random.default_rng(1).standard_normal((61, 2))
@@ -792,27 +815,17 @@ class TestPublicSurface:
                 (harness.ExperimentSpec, "meta"), (kgroups, "diag_index"), (indices, "diag_index"),
                 (kgroups, "kappa_index"), (indices, "kappa_index"), (kgroups, "random_partition"),
                 (partition, "random_partition"), (ClusterSumLedger, "within_dispersion"),
-                (Partition, "sizes"), (ClusterSumLedger, "within"), (partition, "_frozen"))
+                (Partition, "sizes"), (ClusterSumLedger, "within"), (partition, "_frozen"),
+                (solver, "_Restart"))
         for owner, name in gone:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         assert not {"width", "height"} & set(inspect.signature(line_chart_svg).parameters)
 
 
-MODE_RUNS = [("first_variation", 1.0), ("second_variation", 1.0), ("kmeans_alpha2", 2.0)]
-
-
-def _fit_items(cache, pairs):
-    # a fit's sweep items: single points, the pairs of an even n, or None
-    # (each odd-n restart pairs afresh)
-    if not pairs:
-        return solver._items(cache.dist, np.arange(cache.n)[:, None])
-    return None if cache.n % 2 else solver._items(cache.dist, np.array(min_distance_pairs(cache.dist)))
-
-
 def _sweep_state(x, k, alpha, mode, rng):
     # a restart's state as `fit` builds it, from a random start
     cache = DistanceCache(x, alpha)
-    return solver._start(cache, k, rng, _fit_items(cache, mode == "second_variation"))
+    return solver._start(cache, k, rng, solver._fit_items(cache, mode == "second_variation"))
 
 
 class TestStart:
@@ -823,7 +836,7 @@ class TestStart:
         # and n = 30, k = 29 its Poisson sizes, which no fit of the trace
         # corpus reaches
         cache = DistanceCache(np.random.default_rng(n).standard_normal((n, 2)), 1.0)
-        items = _fit_items(cache, pairs=False)
+        items = solver._fit_items(cache, pairs=False)
         assert items.items == [((i,), 0.0) for i in range(n)]
         for seed in range(3):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -962,7 +975,7 @@ class TestScreen:
                 x = rng.integers(-2, 3, (n, 1)).astype(float)  # exact ties
             cache = DistanceCache(x, alpha)
             start = None if pairs else Partition(rng.permutation(np.arange(n) % k), k)
-            state = solver._start(cache, k, rng, _fit_items(cache, pairs), start)
+            state = solver._start(cache, k, rng, solver._fit_items(cache, pairs), start)
             # from the start, then nearer convergence, where most items stay
             for passes in (0, 1, 3):
                 if passes:
@@ -1230,6 +1243,15 @@ class TestParallelRestarts:
         got = pickle.loads(message)
         assert (got.n, got.alpha) == (n, alpha)
         assert got.dist.tobytes() == cache.dist.tobytes() and not got.dist.flags.writeable
+        # so is a fit's whole job in both variations: the items are made
+        # where the job runs, and its restart is the caller's
+        for mode in ("first_variation", "second_variation"):
+            cfg = FitConfig(k=3, alpha=alpha, restarts=2, mode=mode)
+            message = pickle.dumps(functools.partial(solver._restarts, cfg, cache, None, False), pickle.HIGHEST_PROTOCOL)
+            assert len(message) < 8 * n * p + 1000
+            items = solver._fit_items(cache, mode == "second_variation")
+            want = solver._restart(1, cfg, cache, None, items, False)
+            assert _everything(pickle.loads(message)()(1)) == _everything(want)
 
     def test_a_worker_that_cannot_rebuild_the_cache_reports_why(self, monkeypatch):
         # a worker out of memory while it unpickles its job: the caller
